@@ -29,7 +29,7 @@ import numpy as np
 from repro._version import __version__
 from repro.core.account import CostModel
 from repro.pricing.catalog import paper_experiment_plan
-from repro.serve.checkpoint import load_checkpoint, save_checkpoint
+from repro.serve.checkpoint import restore_checkpoint, save_checkpoint
 from repro.serve.state import STATE_VERSION, FleetState
 
 
@@ -72,7 +72,7 @@ def _measure_checkpoint(fleet: FleetState, path: Path) -> "dict[str, float]":
     save_checkpoint(path, fleet, events_ingested=fleet.size)
     save_seconds = time.perf_counter() - began
     began = time.perf_counter()
-    load_checkpoint(path)
+    restore_checkpoint(path)
     load_seconds = time.perf_counter() - began
     return {
         "save_seconds": round(save_seconds, 6),

@@ -2,13 +2,12 @@
 
 Not a paper artefact — this guards the sharding layer: end-to-end
 ingest through the front router (consistent hashing, per-shard fan-out,
-seq stamping, envelope parsing) at shard counts N=1, 2, 4, over *both*
-router→worker transports:
-
-* ``binary`` — PR 8's persistent length-prefixed frame connections with
-  the per-worker WAL (the default);
-* ``json`` — PR 5's one JSON-over-HTTP request per hop with
-  ``--checkpoint-interval 1`` (kept as the comparison baseline).
+seq stamping, envelope parsing) at shard counts N=1, 2, 4, over the
+binary router→worker transport (persistent length-prefixed frame
+connections with the per-worker WAL). The committed ``BENCH_shard.json``
+also holds a ``json`` arm: the one-JSON-over-HTTP-request-per-hop
+transport this script measured before that hop was removed, kept as the
+historical record of the comparison.
 
 Setup cost (booting the cluster, dialling connections, the first
 batch's lazy channel establishment and seq resync) is measured apart
@@ -75,10 +74,9 @@ def _measure_cluster(
     model: CostModel,
     busy: np.ndarray,
     n_shards: int,
-    transport: str,
     checkpoint_dir: Path,
 ) -> dict:
-    """One cluster, one transport: setup vs steady-state split."""
+    """One cluster: setup vs steady-state split."""
     ids = [f"i-{k}" for k in range(busy.shape[1])]
     bodies = [
         json.dumps(
@@ -91,7 +89,7 @@ def _measure_cluster(
     ]
 
     setup_began = time.perf_counter()
-    router = start_cluster(model, n_shards, checkpoint_dir, transport=transport)
+    router = start_cluster(model, n_shards, checkpoint_dir)
     server = RouterServer(("127.0.0.1", 0), router)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -114,9 +112,7 @@ def _measure_cluster(
         response = connection.getresponse()
         response.read()
         if response.status != 200:
-            raise RuntimeError(
-                f"ingest answered {response.status} over {transport}"
-            )
+            raise RuntimeError(f"ingest answered {response.status}")
 
     latencies = []
     try:
@@ -142,7 +138,7 @@ def _measure_cluster(
     events = len(steady) * busy.shape[1]
     return {
         "shards": n_shards,
-        "transport": transport,
+        "transport": "binary",
         "setup_seconds": round(setup_seconds, 4),
         "steady_seconds": round(steady_seconds, 4),
         "events_per_second": round(events / steady_seconds, 1),
@@ -157,25 +153,14 @@ def run_bench(
     period_hours: int = 64,
     seed: int = 2018,
     shard_counts: "tuple[int, ...]" = (1, 2, 4),
-    transports: "tuple[str, ...]" = ("binary", "json"),
 ) -> dict:
-    """Measure router ingest throughput/latency per shard count, for
-    the binary-frame transport and the legacy JSON hop."""
+    """Measure router ingest throughput/latency per shard count."""
     model = build_model(period_hours)
     busy = _event_matrix(instances, hours, seed)
-    results: "dict[str, list[dict]]" = {}
-    for transport in transports:
-        clusters = []
-        for n_shards in shard_counts:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-bench-shard-"
-            ) as directory:
-                clusters.append(
-                    _measure_cluster(
-                        model, busy, n_shards, transport, Path(directory)
-                    )
-                )
-        results[transport] = clusters
+    clusters = []
+    for n_shards in shard_counts:
+        with tempfile.TemporaryDirectory(prefix="repro-bench-shard-") as directory:
+            clusters.append(_measure_cluster(model, busy, n_shards, Path(directory)))
     cpu_count = os.cpu_count() or 1
     return {
         "benchmark": "shard_ingest",
@@ -191,8 +176,7 @@ def run_bench(
             "router and all shard worker processes share this host's "
             f"{cpu_count} core(s); with fewer cores than shards, "
             "events/s is not expected to rise monotonically with shard "
-            "count - the binary-vs-json comparison at each N is the "
-            "signal"
+            "count - compare each N against a record from the same host"
         ),
         "config": {
             "instances": instances,
@@ -202,7 +186,7 @@ def run_bench(
             "period_hours": period_hours,
             "seed": seed,
         },
-        "transports": results,
+        "transports": {"binary": clusters},
     }
 
 
@@ -221,13 +205,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="shard counts to measure, one cluster each",
     )
     parser.add_argument(
-        "--transports",
-        nargs="+",
-        choices=("binary", "json"),
-        default=["binary", "json"],
-        help="router->worker transports to measure",
-    )
-    parser.add_argument(
         "--output", type=Path, default=Path("BENCH_shard.json"), metavar="FILE"
     )
     args = parser.parse_args(argv)
@@ -237,7 +214,6 @@ def main(argv: "list[str] | None" = None) -> int:
         period_hours=args.period_hours,
         seed=args.seed,
         shard_counts=tuple(args.shards),
-        transports=tuple(args.transports),
     )
     args.output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.output}")
@@ -265,7 +241,6 @@ def test_bench_record_shape():
         hours=6,
         period_hours=8,
         shard_counts=(1, 2),
-        transports=("binary",),
     )
     assert record["benchmark"] == "shard_ingest"
     assert record["state_version"] == STATE_VERSION

@@ -1,10 +1,10 @@
 """The supported public surface of :mod:`repro`, in one flat module.
 
 Everything importable here is stable: additions are backwards
-compatible, removals go through one release of
-:class:`DeprecationWarning`. Code that reaches past this facade into
-submodules depends on internals that may move without notice (the
-policy-name constants' move from ``repro.experiments.runner`` to
+compatible, and a removal is announced in ``CHANGELOG.md`` a release
+before it lands. Code that reaches past this facade into submodules
+depends on internals that may move without notice (the policy-name
+constants' move from ``repro.experiments.runner`` to
 :mod:`repro.core.policies` is the canonical example — importing them
 from here would have been seamless).
 

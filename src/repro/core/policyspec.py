@@ -32,14 +32,10 @@ key and the serve checkpoint rely on.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Dict, Mapping, Tuple
 
 from repro.core.breakeven import PAPER_DECISION_FRACTIONS
 from repro.core.policies import (
-    ALL_SELLING_POLICIES,
-    ONLINE_POLICIES,
-    POLICY_KEEP,
     AllSellingPolicy,
     CancellationAwareSellingPolicy,
     KeepReservedPolicy,
@@ -313,9 +309,9 @@ class PolicySpec:
 def spec_for(policy: SellingPolicy) -> PolicySpec:
     """The declarative spec of a constructed policy instance.
 
-    The reverse mapping used for provenance (serve decision rows) and
-    by the deprecation shims; raises :class:`PolicyError` for policies
-    with no declarative form (e.g. scripted replays).
+    The reverse mapping used for provenance (serve decision rows);
+    raises :class:`PolicyError` for policies with no declarative form
+    (e.g. scripted replays).
     """
     if isinstance(policy, RandomizedSellingPolicy):
         weights: "Tuple[float, ...] | None" = tuple(policy.probabilities)
@@ -367,51 +363,16 @@ def make_policy(spec: object) -> SellingPolicy:
     * a spec string or dict — the declarative grammar above;
     * a :class:`PolicySpec` — built directly;
     * an already-constructed :class:`SellingPolicy` — passed through
-      unchanged (composition-friendly);
-    * **deprecated shims** for the historical ad-hoc idioms, each
-      emitting a :class:`DeprecationWarning` naming its replacement: a
-      bare decision fraction (→ ``online:phi=...``) and a canonical
-      policy *name* such as ``A_{T/2}`` (→ its spec).
+      unchanged (composition-friendly).
+
+    Anything else — a bare decision fraction, a policy display name such
+    as ``A_{T/2}`` — raises :class:`~repro.errors.PolicyError`.
     """
     if isinstance(spec, SellingPolicy):
         return spec
     if isinstance(spec, PolicySpec):
         return spec.build()
-    if isinstance(spec, bool):
-        raise PolicyError(f"cannot build a policy from {spec!r}")
-    if isinstance(spec, (int, float)):
-        warnings.warn(
-            "make_policy(phi) with a bare decision fraction is deprecated; "
-            f"pass the spec string 'online:phi={float(spec)!r}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PolicySpec({"kind": SPEC_ONLINE, "phi": float(spec)}).build()
-    if isinstance(spec, str):
-        resolved = _spec_for_policy_name(spec)
-        if resolved is not None:
-            warnings.warn(
-                f"make_policy({spec!r}) with a policy display name is "
-                f"deprecated; pass the spec string {resolved.canonical()!r} "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return resolved.build()
     return PolicySpec(spec).build()  # type: ignore[arg-type]
-
-
-def _spec_for_policy_name(name: str) -> "PolicySpec | None":
-    """The spec behind a canonical display name, if it is one."""
-    if name == POLICY_KEEP:
-        return PolicySpec(SPEC_KEEP)
-    phi = ONLINE_POLICIES.get(name)
-    if phi is not None:
-        return PolicySpec({"kind": SPEC_ONLINE, "phi": phi})
-    phi = ALL_SELLING_POLICIES.get(name)
-    if phi is not None:
-        return PolicySpec({"kind": SPEC_ALL_SELLING, "phi": phi})
-    return None
 
 
 def parse_policies(text: str) -> "Tuple[PolicySpec, ...]":

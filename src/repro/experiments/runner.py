@@ -16,14 +16,12 @@ engine version)``. See ``docs/parallel_execution.md``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from repro._compat import UNSET, Unset, absorb_positional_tail
 from repro.analysis.normalize import normalize_costs
 from repro.core.account import CostModel
 from repro.core.clearing import ClearingModel
@@ -50,37 +48,6 @@ from repro.workload.groups import FluctuationGroup
 #: the population-tensor path of :mod:`repro.core.popsim`. Outcomes are
 #: bit-identical either way; only the throughput differs.
 SWEEP_ENGINES = ("user", "population")
-
-#: Names historically defined here; they now live in
-#: :mod:`repro.core.policies` and importing them from this module warns.
-_MOVED_TO_POLICIES = (
-    "POLICY_A_3T4",
-    "POLICY_A_T2",
-    "POLICY_A_T4",
-    "POLICY_KEEP",
-    "POLICY_ALL_3T4",
-    "POLICY_ALL_T2",
-    "POLICY_ALL_T4",
-    "POLICY_OPT",
-    "ONLINE_POLICIES",
-    "ALL_SELLING_POLICIES",
-)
-
-
-def __getattr__(name: str) -> object:
-    """Deprecation shim: the policy-name constants moved to
-    :mod:`repro.core.policies`; old imports keep working for one release."""
-    if name in _MOVED_TO_POLICIES:
-        warnings.warn(
-            f"repro.experiments.runner.{name} moved to repro.core.policies "
-            "(import it from repro.core.policies or repro.api); the "
-            "runner alias will be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_policies, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Schema version of the cached per-user payload (bump on shape changes).
 #: Format 2 adds the optional per-policy ``instances_cleared`` counts of
@@ -324,49 +291,26 @@ def _simulate_user(
     )
 
 
-_absorb_positional_tail = absorb_positional_tail
-_Unset = Unset
-_UNSET = UNSET
-
-
 def run_user(
     user: ExperimentUser,
     config: ExperimentConfig,
-    *args: object,
-    include_opt: "bool | _Unset" = _UNSET,
-    include_all_selling: "bool | _Unset" = _UNSET,
-    model: "CostModel | _Unset | None" = _UNSET,
+    *,
+    include_opt: bool = False,
+    include_all_selling: bool = True,
+    model: "CostModel | None" = None,
     clearing: "ClearingModel | None" = None,
 ) -> UserOutcome:
     """Run every policy for one user.
 
-    The configuration tail is keyword-only (a positional tail still
-    works for one release behind a :class:`DeprecationWarning`).
     ``model`` lets sweep-scale callers build the cost model once and
     reuse it across the population instead of re-deriving it per user.
     """
-    given: "dict[str, object]" = {
-        "include_opt": include_opt,
-        "include_all_selling": include_all_selling,
-        "model": model,
-    }
-    _absorb_positional_tail(
-        "run_user", args, ("include_opt", "include_all_selling", "model"), given
-    )
-    opt = bool(given["include_opt"]) if given["include_opt"] is not _UNSET else False
-    all_selling = (
-        bool(given["include_all_selling"])
-        if given["include_all_selling"] is not _UNSET
-        else True
-    )
-    cost_model = given["model"] if given["model"] is not _UNSET else None
-    if cost_model is None:
-        cost_model = config.cost_model()
+    cost_model = model if model is not None else config.cost_model()
     if not isinstance(cost_model, CostModel):
         raise TypeError(f"model must be a CostModel, got {cost_model!r}")
     _validate_clearing(clearing)
     return _simulate_user(
-        user, cost_model, opt, all_selling, clearing, config.policies
+        user, cost_model, include_opt, include_all_selling, clearing, config.policies
     )
 
 
@@ -740,22 +684,21 @@ def _outcome_from_payload(payload: dict) -> "UserOutcome | None":
 
 def run_sweep(
     config: ExperimentConfig,
-    *args: object,
-    users: "Iterable[ExperimentUser] | None | _Unset" = _UNSET,
-    include_opt: "bool | _Unset" = _UNSET,
-    include_all_selling: "bool | _Unset" = _UNSET,
-    progress: "Callable[[int, int], None] | None | _Unset" = _UNSET,
-    workers: "int | _Unset" = _UNSET,
-    cache: "ResultCache | str | Path | None | _Unset" = _UNSET,
-    engine: "str | _Unset" = _UNSET,
+    *,
+    users: "Iterable[ExperimentUser] | None" = None,
+    include_opt: bool = False,
+    include_all_selling: bool = True,
+    progress: "Callable[[int, int], None] | None" = None,
+    workers: "int | None" = 1,
+    cache: "ResultCache | str | Path | None" = None,
+    engine: str = "user",
     clearing: "ClearingModel | None" = None,
 ) -> SweepResult:
     """Run the full population sweep (building the population if needed).
 
-    Everything after ``config`` is keyword-only (a positional tail still
-    works for one release behind a :class:`DeprecationWarning`).
-    ``workers`` fans work out over a process pool (``1`` = the serial
-    in-process path, ``0``/``None`` = one worker per core); results are
+    Everything after ``config`` is keyword-only. ``workers`` fans work
+    out over a process pool (``1`` = the serial in-process path,
+    ``0``/``None`` = one worker per core); results are
     identical regardless of the worker count. ``cache`` — a
     :class:`~repro.parallel.cache.ResultCache` or a directory path —
     skips users whose outcome is already stored for this exact
@@ -773,42 +716,8 @@ def run_sweep(
     incorporates the clearing configuration, so clearing-on and
     clearing-off results can never alias.
     """
-    given: "dict[str, object]" = {
-        "users": users,
-        "include_opt": include_opt,
-        "include_all_selling": include_all_selling,
-        "progress": progress,
-        "workers": workers,
-        "cache": cache,
-        "engine": engine,
-    }
-    _absorb_positional_tail(
-        "run_sweep",
-        args,
-        (
-            "users",
-            "include_opt",
-            "include_all_selling",
-            "progress",
-            "workers",
-            "cache",
-            "engine",
-        ),
-        given,
-    )
-    users = given["users"] if given["users"] is not _UNSET else None  # type: ignore[assignment]
-    include_opt = (
-        bool(given["include_opt"]) if given["include_opt"] is not _UNSET else False
-    )
-    include_all_selling = (
-        bool(given["include_all_selling"])
-        if given["include_all_selling"] is not _UNSET
-        else True
-    )
-    progress = given["progress"] if given["progress"] is not _UNSET else None  # type: ignore[assignment]
-    workers = int(given["workers"]) if given["workers"] is not _UNSET else 1  # type: ignore[call-overload]
-    cache = given["cache"] if given["cache"] is not _UNSET else None  # type: ignore[assignment]
-    engine = str(given["engine"]) if given["engine"] is not _UNSET else "user"
+    # The cache key hashes these flags, and True and 1 hash differently.
+    include_opt, include_all_selling = bool(include_opt), bool(include_all_selling)
     if engine not in SWEEP_ENGINES:
         raise ExperimentError(
             f"unknown sweep engine {engine!r}; choose one of {SWEEP_ENGINES}"

@@ -17,8 +17,8 @@ pose — from a live feed of usage events:
 * :mod:`repro.serve.metrics` — a tiny counter/gauge/histogram registry
   rendered in Prometheus text exposition format.
 * :mod:`repro.serve.envelope` — the versioned JSON envelope
-  (``{"schema": 1, ...}``) every serve endpoint speaks, with the single
-  error shape ``{"schema": 1, "error": {"kind", "message"}}``.
+  (``{"schema": 2, ...}``) every serve endpoint speaks, with the single
+  error shape ``{"schema": 2, "error": {"kind", "message"}}``.
 * :mod:`repro.serve.server` — the stdlib HTTP JSON API
   (``POST /v1/events``, ``GET /v1/decisions``, ``GET /v1/costs``,
   ``GET /healthz``, ``GET /metrics``) with bounded-admission
@@ -43,7 +43,6 @@ See ``docs/serving.md`` for the API schema and the state model.
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
     Checkpoint,
-    load_checkpoint,
     restore_checkpoint,
     save_checkpoint,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "encode_frame",
     "envelope",
     "error_envelope",
-    "load_checkpoint",
     "loadb",
     "read_wal",
     "restore_checkpoint",

@@ -28,7 +28,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.clearing import ClearingModel
@@ -38,20 +38,14 @@ from repro.serve.errors import CheckpointError, ServeStateError
 from repro.serve.state import STATE_VERSION, FleetState
 
 #: Version of the checkpoint payload shape; bump on structural changes.
-#: Format 2 adds per-instance ``working_in_term`` (exact cost
-#: accounting) and an opaque ``extra`` dict (shard ingest bookkeeping).
-#: Format 3 adds the fleet's clearing model and per-spot listing state
-#: (``clear_at``/``fate``); format-2 files still restore (no clearing,
-#: no open listings).
-#: Format 4 adds the fleet's canonical policy specs plus per-instance
-#: randomized draws (``drawn``) and cancellation re-buy state
-#: (``rebuys``); formats 2 and 3 still restore (no extra policies).
+#: Format 2 added per-instance ``working_in_term`` (exact cost
+#: accounting) and an opaque ``extra`` dict (shard ingest bookkeeping);
+#: format 3 the fleet's clearing model and per-spot listing state
+#: (``clear_at``/``fate``); format 4 the fleet's canonical policy specs
+#: plus per-instance randomized draws (``drawn``) and cancellation
+#: re-buy state (``rebuys``). Only this format restores; every field it
+#: defines is required.
 CHECKPOINT_FORMAT = 4
-
-#: Older payload shapes this build still reads. Formats 2 and 3 are
-#: strict subsets of format 4 — the listing fields default to "no
-#: listing" and the policy fields to "no extra policies".
-_COMPATIBLE_FORMATS = (2, 3, CHECKPOINT_FORMAT)
 
 
 @dataclass
@@ -109,10 +103,10 @@ def checkpoint_from_payload(payload: dict) -> Checkpoint:
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint payload is not a JSON object")
     fmt = payload.get("format")
-    if fmt not in _COMPATIBLE_FORMATS:
+    if fmt != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"checkpoint format {fmt!r} is not supported "
-            f"(this build reads formats {_COMPATIBLE_FORMATS})"
+            f"(this build reads format {CHECKPOINT_FORMAT})"
         )
     state_version = payload.get("state_version")
     if state_version != STATE_VERSION:
@@ -130,13 +124,13 @@ def checkpoint_from_payload(payload: dict) -> Checkpoint:
             marketplace_fee=float(model_spec["marketplace_fee"]),
             fee_mode=HourlyFeeMode(model_spec["fee_mode"]),
         )
-        clearing_spec = payload.get("clearing")
+        clearing_spec = payload["clearing"]
         clearing = (
             ClearingModel.from_payload(clearing_spec)
             if clearing_spec is not None
             else None
         )
-        policies = payload.get("policies", ())
+        policies = payload["policies"]
         if not isinstance(policies, (list, tuple)):
             raise CheckpointError(
                 f"checkpoint 'policies' must be an array of spec strings, "
@@ -150,8 +144,8 @@ def checkpoint_from_payload(payload: dict) -> Checkpoint:
             policies=tuple(str(spec) for spec in policies),
         )
         fleet.restore_instances(payload["instances"])
-        events_ingested = int(payload.get("events_ingested", 0))
-        extra = payload.get("extra", {})
+        events_ingested = int(payload["events_ingested"])
+        extra = payload["extra"]
         if not isinstance(extra, dict):
             raise CheckpointError(
                 f"checkpoint 'extra' must be an object, got {type(extra).__name__}"
@@ -167,16 +161,6 @@ def checkpoint_from_payload(payload: dict) -> Checkpoint:
     ) as error:
         raise CheckpointError(f"malformed checkpoint payload: {error}") from error
     return Checkpoint(fleet=fleet, events_ingested=events_ingested, extra=extra)
-
-
-def fleet_from_payload(payload: dict) -> "Tuple[FleetState, int]":
-    """Rebuild ``(fleet, events_ingested)`` from a checkpoint payload.
-
-    Compatibility wrapper over :func:`checkpoint_from_payload` for
-    callers that predate :class:`Checkpoint` (drops ``extra``).
-    """
-    checkpoint = checkpoint_from_payload(payload)
-    return checkpoint.fleet, checkpoint.events_ingested
 
 
 def save_checkpoint(
@@ -247,12 +231,3 @@ def restore_checkpoint(path: "str | Path") -> Checkpoint:
         ) from error
     return checkpoint_from_payload(payload)
 
-
-def load_checkpoint(path: "str | Path") -> "Tuple[FleetState, int]":
-    """Restore ``(fleet, events_ingested)`` from ``path``.
-
-    Compatibility wrapper over :func:`restore_checkpoint` (drops the
-    ``extra`` bookkeeping).
-    """
-    checkpoint = restore_checkpoint(path)
-    return checkpoint.fleet, checkpoint.events_ingested

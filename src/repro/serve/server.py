@@ -13,8 +13,8 @@ Endpoints
 * ``GET /metrics`` — Prometheus text exposition.
 
 Every JSON response is wrapped in the versioned envelope of
-:mod:`repro.serve.envelope` (``{"schema": 1, ...}``; errors are
-``{"schema": 1, "error": {"kind", "message"}}``). An ingest body may
+:mod:`repro.serve.envelope` (``{"schema": 2, ...}``; errors are
+``{"schema": 2, "error": {"kind", "message"}}``). An ingest body may
 carry ``"schema"`` (rejected on version skew) and a monotonic ``"seq"``
 (the shard router's exactly-once handle: replaying the last applied
 ``seq`` returns the stored response verbatim instead of re-applying the
@@ -46,9 +46,6 @@ from urllib.parse import parse_qs, urlparse
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro._compat import UNSET as _UNSET
-from repro._compat import Unset as _Unset
-from repro._compat import absorb_positional_tail as _absorb_positional_tail
 from repro._version import __version__
 from repro.core.account import CostModel
 from repro.core.breakeven import PAPER_DECISION_FRACTIONS
@@ -622,12 +619,12 @@ class AdvisoryServer(ThreadingHTTPServer):
 
 def build_app(
     model: CostModel,
-    *args: object,
-    phis: "Sequence[float] | _Unset" = _UNSET,
-    checkpoint_path: "str | Path | None | _Unset" = _UNSET,
-    checkpoint_interval: "int | _Unset" = _UNSET,
-    max_batch: "int | _Unset" = _UNSET,
-    max_inflight: "int | _Unset" = _UNSET,
+    *,
+    phis: "Sequence[float]" = PAPER_DECISION_FRACTIONS,
+    checkpoint_path: "str | Path | None" = None,
+    checkpoint_interval: int = 0,
+    max_batch: int = DEFAULT_MAX_BATCH,
+    max_inflight: int = DEFAULT_MAX_INFLIGHT,
     checkpoint_fsync: bool = False,
     clearing: "ClearingModel | None" = None,
     policies: "Sequence[object] | None" = None,
@@ -647,51 +644,12 @@ def build_app(
     win for the same reason the clearing model does: drawn spots and
     re-buy watches must continue under the configuration they were
     created with.
-
-    The configuration tail is keyword-only; passing it positionally is
-    deprecated and supported for one release behind a
-    :class:`DeprecationWarning`.
     """
-    given: "dict[str, object]" = {
-        "phis": phis,
-        "checkpoint_path": checkpoint_path,
-        "checkpoint_interval": checkpoint_interval,
-        "max_batch": max_batch,
-        "max_inflight": max_inflight,
-    }
-    _absorb_positional_tail(
-        "build_app",
-        args,
-        ("phis", "checkpoint_path", "checkpoint_interval", "max_batch", "max_inflight"),
-        given,
-    )
-    resolved_phis = (
-        given["phis"] if given["phis"] is not _UNSET else PAPER_DECISION_FRACTIONS
-    )
-    resolved_path = (
-        given["checkpoint_path"] if given["checkpoint_path"] is not _UNSET else None
-    )
-    interval = (
-        int(given["checkpoint_interval"])  # type: ignore[call-overload]
-        if given["checkpoint_interval"] is not _UNSET
-        else 0
-    )
-    batch_cap = (
-        int(given["max_batch"])  # type: ignore[call-overload]
-        if given["max_batch"] is not _UNSET
-        else DEFAULT_MAX_BATCH
-    )
-    inflight_cap = (
-        int(given["max_inflight"])  # type: ignore[call-overload]
-        if given["max_inflight"] is not _UNSET
-        else DEFAULT_MAX_INFLIGHT
-    )
-
     events_ingested = 0
     last_seq: "Optional[int]" = None
     last_response: "Optional[Dict[str, object]]" = None
-    if resolved_path is not None and Path(resolved_path).exists():  # type: ignore[arg-type]
-        checkpoint = restore_checkpoint(resolved_path)  # type: ignore[arg-type]
+    if checkpoint_path is not None and Path(checkpoint_path).exists():
+        checkpoint = restore_checkpoint(checkpoint_path)
         fleet = checkpoint.fleet
         events_ingested = checkpoint.events_ingested
         stored_seq = checkpoint.extra.get("ingest_last_seq")
@@ -703,16 +661,16 @@ def build_app(
     else:
         fleet = FleetState(
             model,
-            phis=resolved_phis,  # type: ignore[arg-type]
+            phis=phis,
             clearing=clearing,
             policies=policies,
         )
     return AdvisoryApp(
         fleet,
-        checkpoint_path=resolved_path,  # type: ignore[arg-type]
-        checkpoint_interval=interval,
-        max_batch=batch_cap,
-        max_inflight=inflight_cap,
+        checkpoint_path=checkpoint_path,
+        checkpoint_interval=checkpoint_interval,
+        max_batch=max_batch,
+        max_inflight=max_inflight,
         events_ingested=events_ingested,
         last_seq=last_seq,
         last_response=last_response,
@@ -832,34 +790,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=("http", "binary"),
-        default="http",
-        help=(
-            "worker wire protocol: 'http' serves the JSON API; 'binary' "
-            "serves length-prefixed binary frames (the shard supervisor's "
-            "worker mode — requires --wal) (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-transport",
-        choices=("binary", "json"),
-        default="binary",
-        help=(
-            "with --shards > 1: protocol of the router->worker hop; "
-            "'json' keeps PR 5's per-request HTTP path for comparison "
-            "(default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
         "--wal",
         type=Path,
         default=None,
         metavar="FILE",
         help=(
-            "binary worker mode: append applied ingest batches to this "
-            "write-ahead log; restart replays only the tail past the "
-            "snapshot"
+            "binary worker mode (the shard supervisor's; requires "
+            "--checkpoint): serve length-prefixed binary frames and "
+            "append applied ingest batches to this write-ahead log; "
+            "restart replays only the tail past the snapshot"
         ),
     )
     parser.add_argument(
@@ -896,7 +835,7 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         from repro.serve.shard import run_cluster
 
         return run_cluster(args)
-    if args.transport == "binary":
+    if args.wal is not None:
         from repro.serve.shard import run_binary_worker
 
         return run_binary_worker(args)

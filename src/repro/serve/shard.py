@@ -20,20 +20,16 @@ Topology
 
 Each worker is a ``python -m repro.serve`` process owning the
 :class:`~repro.serve.server.AdvisoryApp` + FleetState for its id
-subset. Two transports carry the router→worker hop:
-
-* ``binary`` (default) — one persistent connection per worker speaking
-  the length-prefixed, CRC-checked frames of
-  :mod:`repro.serve.transport`, multiplexed by a single selector-loop
-  :class:`~repro.serve.transport.TransportHub`; requests pipeline over
-  the link instead of paying a TCP + HTTP setup per call. Durability
-  moves from checkpoint-per-batch to a per-worker write-ahead log
-  (:mod:`repro.serve.wal`): each applied batch is fsync'd to the WAL
-  before the reply, the JSON snapshot is rewritten only every
-  ``snapshot_interval`` batches, and a restarted worker replays just
-  the WAL tail past its snapshot — never full history.
-* ``json`` — PR 5's one-JSON-over-HTTP-request-per-call path, kept for
-  benchmark trajectory comparison (BENCH_shard.json measures both).
+subset. The router→worker hop is one persistent connection per worker
+speaking the length-prefixed, CRC-checked frames of
+:mod:`repro.serve.transport`, multiplexed by a single selector-loop
+:class:`~repro.serve.transport.TransportHub`; requests pipeline over
+the link instead of paying a TCP + HTTP setup per call. Durability is
+a per-worker write-ahead log (:mod:`repro.serve.wal`): each applied
+batch is fsync'd to the WAL before the reply, the JSON snapshot is
+rewritten only every ``snapshot_interval`` batches, and a restarted
+worker replays just the WAL tail past its snapshot — never full
+history.
 
 The router:
 
@@ -69,7 +65,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import os
 import re
 import signal
@@ -78,9 +73,6 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -149,16 +141,7 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 #: batches; a restart replays at most this many from the tail.
 DEFAULT_SNAPSHOT_INTERVAL = 64
 
-_LISTEN_RE = re.compile(r"listening on (binary|http)://([0-9.]+):(\d+)")
-
-#: Router op name → the HTTP route the ``json`` transport maps it to
-#: (the ``binary`` transport carries the op name itself in the frame).
-_OP_ROUTES: "Dict[str, Tuple[str, str]]" = {
-    "ingest": ("POST", "/v1/events"),
-    "decisions": ("GET", "/v1/decisions"),
-    "costs": ("GET", "/v1/costs"),
-    "health": ("GET", "/healthz"),
-}
+_LISTEN_RE = re.compile(r"listening on binary://([0-9.]+):(\d+)")
 
 
 def _hash64(key: str) -> int:
@@ -203,14 +186,12 @@ class ShardSupervisor:
     """Owns one worker subprocess: spawn, port discovery, restart, stop.
 
     The worker is a ``python -m repro.serve`` process bound to an
-    ephemeral port. With the default ``binary`` transport it runs the
-    frame server with a write-ahead log: every applied batch is durable
-    in the WAL (events *and* the batch's response) before the router
-    sees the reply, the JSON snapshot is compacted in every
-    ``snapshot_interval`` batches, and a ``kill -9`` at any point is
-    recoverable by replaying the WAL tail and retrying the in-flight
-    seq. With ``transport="json"`` it serves the plain HTTP API with
-    ``--checkpoint-interval 1`` (PR 5's behaviour).
+    ephemeral port, running the binary frame server with a write-ahead
+    log: every applied batch is durable in the WAL (events *and* the
+    batch's response) before the router sees the reply, the JSON
+    snapshot is compacted in every ``snapshot_interval`` batches, and a
+    ``kill -9`` at any point is recoverable by replaying the WAL tail
+    and retrying the in-flight seq.
     """
 
     def __init__(
@@ -220,21 +201,15 @@ class ShardSupervisor:
         host: str = "127.0.0.1",
         max_batch: int = DEFAULT_MAX_BATCH,
         boot_timeout: float = 30.0,
-        transport: str = "binary",
         wal_path: "str | Path | None" = None,
         snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
         wal_fsync: str = "always",
     ) -> None:
-        if transport not in ("binary", "json"):
-            raise ServeStateError(
-                f"transport must be 'binary' or 'json', got {transport!r}"
-            )
         self.index = index
         self.checkpoint_path = Path(checkpoint_path)
         self.host = host
         self.max_batch = max_batch
         self.boot_timeout = boot_timeout
-        self.transport = transport
         self.wal_path = (
             Path(wal_path)
             if wal_path is not None
@@ -242,7 +217,6 @@ class ShardSupervisor:
         )
         self.snapshot_interval = snapshot_interval
         self.wal_fsync = wal_fsync
-        self.base_url: "Optional[str]" = None
         #: The worker's announced ``(host, port)``.
         self.worker_address: "Optional[Tuple[str, int]]" = None
         #: Test hook: when set, the router dials this address instead of
@@ -251,7 +225,7 @@ class ShardSupervisor:
         self.address_override: "Optional[Tuple[str, int]]" = None
         self.process: "Optional[subprocess.Popen[str]]" = None
         self.restarts = 0
-        # Lifecycle writes (process/base_url/restarts) are serialized:
+        # Lifecycle writes (process/restarts) are serialized:
         # restart() runs on router request threads, and two threads that
         # both see a dead worker must not both spawn a replacement.
         self._lifecycle_lock = threading.Lock()
@@ -284,20 +258,13 @@ class ShardSupervisor:
             str(self.checkpoint_path),
             "--max-batch",
             str(self.max_batch),
+            "--wal",
+            str(self.wal_path),
+            "--snapshot-interval",
+            str(self.snapshot_interval),
+            "--wal-fsync",
+            self.wal_fsync,
         ]
-        if self.transport == "binary":
-            command += [
-                "--transport",
-                "binary",
-                "--wal",
-                str(self.wal_path),
-                "--snapshot-interval",
-                str(self.snapshot_interval),
-                "--wal-fsync",
-                self.wal_fsync,
-            ]
-        else:
-            command += ["--checkpoint-interval", "1"]
         env = dict(os.environ)
         package_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")
@@ -326,13 +293,8 @@ class ShardSupervisor:
                 )
             match = _LISTEN_RE.search(line)
             if match:
-                scheme, announced_host, announced_port = match.groups()
+                announced_host, announced_port = match.groups()
                 self.worker_address = (announced_host, int(announced_port))
-                self.base_url = (
-                    f"http://{announced_host}:{announced_port}"
-                    if scheme == "http"
-                    else None
-                )
                 break
             if time.perf_counter() > deadline:
                 self._stop_locked()
@@ -408,18 +370,12 @@ class ShardRouter:
         attempts: int = DEFAULT_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        transport: str = "binary",
     ) -> None:
         if not supervisors:
             raise ServeStateError("a shard cluster needs at least one shard")
         if attempts < 1:
             raise ServeStateError(f"attempts must be >= 1, got {attempts!r}")
-        if transport not in ("binary", "json"):
-            raise ServeStateError(
-                f"transport must be 'binary' or 'json', got {transport!r}"
-            )
         self.model = model
-        self.transport = transport
         self.supervisors = list(supervisors)
         self.ring = ring if ring is not None else HashRing(len(self.supervisors))
         if self.ring.n_shards != len(self.supervisors):
@@ -441,16 +397,14 @@ class ShardRouter:
         # Next seq per shard; None = unknown, resynced from the shard's
         # /healthz (its last applied seq survives in the checkpoint).
         self._seqs: "List[Optional[int]]" = [None] * len(self.supervisors)
-        # One persistent channel per shard (binary transport); dialled
-        # lazily, re-dialled after any transport failure.
+        # One persistent channel per shard; dialled lazily, re-dialled
+        # after any transport failure.
         self._channel_locks = [threading.Lock() for _ in self.supervisors]
         self._channels: "List[Optional[WorkerChannel]]" = [None] * len(
             self.supervisors
         )
-        self._hub: "Optional[TransportHub]" = None
-        if transport == "binary":
-            self._hub = TransportHub()
-            self._hub.start()
+        self._hub = TransportHub()
+        self._hub.start()
         self._pool = ThreadPoolExecutor(
             max_workers=len(self.supervisors),
             thread_name_prefix="repro-shard-dispatch",
@@ -520,9 +474,6 @@ class ShardRouter:
 
     def _channel(self, shard_index: int) -> WorkerChannel:
         """The shard's persistent channel, dialling if necessary."""
-        hub = self._hub
-        if hub is None:  # pragma: no cover - guarded by transport checks
-            raise ServeStateError("router has no transport hub (json mode)")
         with self._channel_locks[shard_index]:
             channel = self._channels[shard_index]
             if channel is not None and not channel.closed:
@@ -532,7 +483,7 @@ class ShardRouter:
                 raise ShardUnavailableError(
                     f"shard {shard_index} was never started"
                 )
-            channel = hub.connect(address, timeout=self.request_timeout)
+            channel = self._hub.connect(address, timeout=self.request_timeout)
             self._channels[shard_index] = channel
             return channel
 
@@ -552,19 +503,8 @@ class ShardRouter:
         body: "Optional[Dict[str, object]]" = None,
         timeout: "Optional[float]" = None,
     ) -> "Tuple[int, Dict[str, object]]":
-        """One round-trip to a shard over the configured transport;
-        enforces the envelope either way."""
-        if self.transport == "binary":
-            return self._request_binary(shard_index, op, body, timeout)
-        return self._request_json(shard_index, op, body, timeout)
-
-    def _request_binary(
-        self,
-        shard_index: int,
-        op: str,
-        body: "Optional[Dict[str, object]]",
-        timeout: "Optional[float]",
-    ) -> "Tuple[int, Dict[str, object]]":
+        """One round-trip to a shard over its channel; enforces the
+        envelope."""
         channel = self._channel(shard_index)
         try:
             status, parsed = channel.call(
@@ -582,76 +522,16 @@ class ShardRouter:
         except SchemaSkewError as error:
             raise ShardProtocolError(str(error)) from error
 
-    def _request_json(
-        self,
-        shard_index: int,
-        op: str,
-        body: "Optional[Dict[str, object]]",
-        timeout: "Optional[float]",
-    ) -> "Tuple[int, Dict[str, object]]":
-        """PR 5's hop: one fresh JSON-over-HTTP request per call."""
-        base_url = self.supervisors[shard_index].base_url
-        if base_url is None:
-            raise ShardUnavailableError(f"shard {shard_index} was never started")
-        method, path = _OP_ROUTES[op]
-        data: "Optional[bytes]" = None
-        if method == "POST":
-            data = json.dumps(body).encode("utf-8") if body is not None else None
-        elif body and isinstance(body.get("instance"), str):
-            path += "?instance=" + urllib.parse.quote(str(body["instance"]))
-        request = urllib.request.Request(
-            base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout if timeout is not None else self.request_timeout
-            ) as response:
-                raw = response.read()
-                status = response.status
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            status = error.code
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
-            raise ShardUnavailableError(
-                f"shard {shard_index} unreachable: {error}"
-            ) from error
-        try:
-            parsed = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ShardProtocolError(
-                f"shard {shard_index} answered non-JSON: {error}"
-            ) from error
-        try:
-            return status, require_schema(parsed, source=f"shard {shard_index}")
-        except SchemaSkewError as error:
-            raise ShardProtocolError(str(error)) from error
-
     def _shard_metrics(self, shard_index: int) -> str:
         """One shard's ``/metrics`` exposition text."""
-        if self.transport == "binary":
-            _status, parsed = self._request(shard_index, "metrics")
-            exposition = parsed.get("exposition")
-            if not isinstance(exposition, str):
-                raise ShardProtocolError(
-                    f"shard {shard_index} answered a metrics body without "
-                    "an 'exposition' string"
-                )
-            return exposition
-        base_url = self.supervisors[shard_index].base_url
-        if base_url is None:
-            raise ShardUnavailableError(f"shard {shard_index} was never started")
-        try:
-            with urllib.request.urlopen(
-                base_url + "/metrics", timeout=self.request_timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
-            raise ShardUnavailableError(
-                f"shard {shard_index} unreachable: {error}"
-            ) from error
+        _status, parsed = self._request(shard_index, "metrics")
+        exposition = parsed.get("exposition")
+        if not isinstance(exposition, str):
+            raise ShardProtocolError(
+                f"shard {shard_index} answered a metrics body without "
+                "an 'exposition' string"
+            )
+        return exposition
 
     def _call_shard(
         self,
@@ -1034,8 +914,7 @@ class ShardRouter:
     def close(self) -> None:
         """Stop dispatch, the transport hub, and every worker."""
         self._pool.shutdown(wait=True)
-        if self._hub is not None:
-            self._hub.close()
+        self._hub.close()
         for supervisor in self.supervisors:
             supervisor.stop()
 
@@ -1325,47 +1204,35 @@ def start_cluster(
     """Boot N supervised shard workers and return the router over them.
 
     Each shard's checkpoint lives at ``checkpoint_dir/shard-<i>.json``
-    (binary transport adds ``shard-<i>.wal`` beside it); when absent, an
+    with its write-ahead log ``shard-<i>.wal`` beside it; when absent, an
     empty fleet with ``model``/``phis``/``policies`` is checkpointed
     first so the worker bootstraps its configuration from the file (an
     existing checkpoint wins — restarts resume where the shard left
     off). ``policies`` travel as canonical spec strings inside the
     checkpoint, so workers need no extra flags and every shard draws
-    from the same per-instance-id streams.
+    from the same per-instance-id streams. ``transport`` names the
+    router→worker hop; ``"binary"`` is the only one.
     """
     if n_shards < 1:
         raise ServeStateError(f"n_shards must be >= 1, got {n_shards!r}")
+    if transport != "binary":
+        raise ServeStateError(f"transport must be 'binary', got {transport!r}")
     directory = Path(checkpoint_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    supervisors: "List[ShardSupervisor]" = []
-    try:
-        for shard_index in range(n_shards):
-            path = directory / f"shard-{shard_index}.json"
-            if not path.exists():
-                fleet = FleetState(
-                    model,
-                    phis=phis,
-                    threshold_scale=threshold_scale,
-                    policies=policies,
-                )
-                save_checkpoint(path, fleet)
-            supervisor = ShardSupervisor(
-                shard_index,
-                path,
-                host=host,
-                max_batch=max_batch,
-                transport=transport,
-                wal_path=directory / f"shard-{shard_index}.wal",
-                snapshot_interval=snapshot_interval,
-                wal_fsync=wal_fsync,
-            )
-            supervisor.start()
-            supervisors.append(supervisor)
-    except ServeError:
-        for supervisor in supervisors:
-            supervisor.stop()
-        raise
-    return ShardRouter(
+    supervisors = [
+        ShardSupervisor(
+            shard_index,
+            directory / f"shard-{shard_index}.json",
+            host=host,
+            max_batch=max_batch,
+            wal_path=directory / f"shard-{shard_index}.wal",
+            snapshot_interval=snapshot_interval,
+            wal_fsync=wal_fsync,
+        )
+        for shard_index in range(n_shards)
+    ]
+    # The router checks its arguments before any worker exists, and
+    # closing it stops every supervisor, so a failed boot leaks nothing.
+    router = ShardRouter(
         model,
         supervisors,
         max_batch=max_batch,
@@ -1374,8 +1241,23 @@ def start_cluster(
         attempts=attempts,
         backoff_base=backoff_base,
         backoff_cap=backoff_cap,
-        transport=transport,
     )
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for supervisor in supervisors:
+            if not supervisor.checkpoint_path.exists():
+                fleet = FleetState(
+                    model,
+                    phis=phis,
+                    threshold_scale=threshold_scale,
+                    policies=policies,
+                )
+                save_checkpoint(supervisor.checkpoint_path, fleet)
+            supervisor.start()
+    except BaseException:
+        router.close()
+        raise
+    return router
 
 
 def run_cluster(args: argparse.Namespace) -> int:
@@ -1407,7 +1289,6 @@ def run_cluster(args: argparse.Namespace) -> int:
             host=args.host,
             max_batch=args.max_batch,
             max_inflight=args.max_inflight,
-            transport=args.shard_transport,
             snapshot_interval=args.snapshot_interval,
             wal_fsync=args.wal_fsync,
             policies=policies,
@@ -1419,7 +1300,7 @@ def run_cluster(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(
         f"repro.serve router listening on http://{host}:{port} "
-        f"({args.shards} shards over the {args.shard_transport} transport, "
+        f"({args.shards} shards over the binary transport, "
         f"plan {plan.name or 'paper'} "
         f"T={plan.period_hours}h, a={args.discount}, "
         f"checkpoints in {checkpoint_dir})",
@@ -1436,21 +1317,15 @@ def run_cluster(args: argparse.Namespace) -> int:
 
 
 def run_binary_worker(args: argparse.Namespace) -> int:
-    """CLI entry for ``python -m repro.serve --transport binary``.
+    """CLI entry for ``python -m repro.serve --wal FILE``.
 
     The shard supervisor's worker mode: recover snapshot + WAL tail,
     then serve binary frames until SIGTERM/SIGINT, ending with a final
     snapshot + compaction.
     """
-    if args.wal is None:
-        print(
-            "repro.serve: error: --transport binary requires --wal",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint is None:
         print(
-            "repro.serve: error: --transport binary requires --checkpoint "
+            "repro.serve: error: --wal requires --checkpoint "
             "(WAL compaction drops records only a snapshot makes durable)",
             file=sys.stderr,
         )

@@ -1250,16 +1250,14 @@ class FleetState:
                         )
                     self._verdicts[k][index] = code
                     self._working_at[k][index] = int(spot["working_at"])
-                    # Listing fields are absent in pre-clearing (format
-                    # 2) checkpoint rows; default to "no listing".
-                    fate = int(spot.get("fate", _FATE_NONE))
+                    fate = int(spot["fate"])
                     if fate not in (_FATE_NONE, _FATE_CLEAR, _FATE_EXPIRE):
                         raise ServeStateError(
                             f"unknown listing fate {fate!r} in checkpoint row"
                         )
-                    self._clear_at[k][index] = int(spot.get("clear_at", -1))
+                    self._clear_at[k][index] = int(spot["clear_at"])
                     self._fate[k][index] = fate
-                if self._randomized is not None and "drawn" in row:
+                if self._randomized is not None:
                     # register() already re-drew this instance's spot
                     # from the policy's deterministic stream; the stored
                     # draw must agree or the checkpoint was written
@@ -1272,15 +1270,8 @@ class FleetState:
                             f"policy draws {int(self._drawn[index])} — "
                             "the specs (seed or spots) disagree"
                         )
-                rebuys = row.get("rebuys", {})
-                if not isinstance(rebuys, dict):
-                    raise ServeStateError(
-                        f"malformed rebuy state in fleet row: {rebuys!r}"
-                    )
                 for c, (spec, _policy, _k) in enumerate(self._cancellations):
-                    entry = rebuys.get(spec.canonical())
-                    if entry is None:
-                        continue
+                    entry = row["rebuys"][spec.canonical()]  # type: ignore[index]
                     self._rebuy_age[c][index] = int(entry["age"])
                     self._busy_after_sale[c][index] = int(entry["busy"])
             except (KeyError, TypeError, ValueError) as error:

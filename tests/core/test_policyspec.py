@@ -214,17 +214,13 @@ class TestMakePolicy:
         # An already-built policy passes through unchanged.
         assert make_policy(by_text) is by_text
 
-    def test_bare_float_shim_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="online:phi=0.75"):
-            policy = make_policy(0.75)
-        assert isinstance(policy, OnlineSellingPolicy)
-        assert policy.phi == 0.75
+    def test_bare_float_is_rejected(self):
+        with pytest.raises(PolicyError, match="must be a string"):
+            make_policy(0.75)
 
-    def test_display_name_shim_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="online:phi=0.5"):
-            policy = make_policy(POLICY_A_T2)
-        assert isinstance(policy, OnlineSellingPolicy)
-        assert policy.phi == 0.5
+    def test_display_name_is_rejected(self):
+        with pytest.raises(PolicyError, match="unknown policy spec kind"):
+            make_policy(POLICY_A_T2)
 
     def test_bool_is_rejected(self):
         with pytest.raises(PolicyError):

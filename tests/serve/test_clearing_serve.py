@@ -8,8 +8,8 @@ Three guarantees are pinned here:
 * :class:`~repro.serve.state.FleetState` settles SELL-rule hits through
   the WAIT_FOR_CLEAR lifecycle deterministically: replaying the same
   events yields the same listings, fates, and settle hours.
-* A checkpoint written *while listings are open* (format 3) restores to
-  a fleet that settles them identically — the serve layer's
+* A checkpoint written *while listings are open* restores to a fleet
+  that settles them identically — the serve layer's
   kill-and-restore guarantee extended to mid-flight marketplace state.
 """
 
@@ -26,7 +26,7 @@ from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_from_payload,
     fleet_to_payload,
-    load_checkpoint,
+    restore_checkpoint,
     save_checkpoint,
 )
 from repro.serve.errors import CheckpointError, ServeStateError
@@ -225,7 +225,7 @@ def test_kill_and_restore_with_open_listings(tmp_path):
     assert payload["format"] == CHECKPOINT_FORMAT
     assert payload["clearing"] == clearing.to_payload()
 
-    restored, _ = load_checkpoint(path)
+    restored = restore_checkpoint(path).fleet
     assert restored.clearing == clearing
     assert restored.rows() == first.rows()
     after = []
@@ -277,19 +277,6 @@ def test_kill_and_restore_through_advisory_app(tmp_path):
     assert waits and all(d["listing"] == "opened" for d in waits)
     resolved = [d for d in seen if d.get("listing") in ("cleared", "expired")]
     assert any(d["waited_hours"] > 0 for d in resolved)
-
-
-def test_format_2_checkpoint_still_restores():
-    fleet = FleetState(small_model())
-    payload = fleet_to_payload(fleet)
-    payload["format"] = CHECKPOINT_FORMAT - 1
-    del payload["clearing"]
-    for row in payload["instances"]:
-        for spot in row["spots"].values():
-            del spot["clear_at"]
-            del spot["fate"]
-    restored = checkpoint_from_payload(payload)
-    assert restored.fleet.clearing is None
 
 
 def test_unknown_format_still_refused():

@@ -14,11 +14,12 @@ import pytest
 
 from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
-from repro.serve.errors import ServeStateError
+from repro.serve.errors import ServeStateError, ShardUnavailableError
 from repro.serve.shard import (
     HashRing,
     RouterServer,
     ShardRouter,
+    ShardSupervisor,
     _relabel_exposition,
     start_cluster,
 )
@@ -187,3 +188,33 @@ def test_cluster_lifecycle(cluster):
 def test_router_requires_matching_ring():
     with pytest.raises(ServeStateError):
         ShardRouter(small_model(), [], ring=None)
+
+
+def test_refused_cluster_arguments_start_no_worker(tmp_path, monkeypatch):
+    """The router's arguments are checked before the first spawn, so a
+    refused boot leaves no worker process behind."""
+    started = []
+    monkeypatch.setattr(
+        ShardSupervisor, "start", lambda self: started.append(self.index)
+    )
+    for options in ({"attempts": 0}, {"transport": "json"}):
+        with pytest.raises(ServeStateError):
+            start_cluster(small_model(), 2, tmp_path / "refused", **options)
+    assert started == []
+    start_cluster(small_model(), 2, tmp_path / "booted").close()
+    assert started == [0, 1]
+
+
+def test_failed_boot_stops_every_started_worker(tmp_path, monkeypatch):
+    def start(self):
+        if self.index == 1:
+            raise ShardUnavailableError("shard 1 exited during boot")
+
+    stopped = []
+    monkeypatch.setattr(ShardSupervisor, "start", start)
+    monkeypatch.setattr(
+        ShardSupervisor, "stop", lambda self, timeout=5.0: stopped.append(self.index)
+    )
+    with pytest.raises(ShardUnavailableError):
+        start_cluster(small_model(), 2, tmp_path)
+    assert 0 in stopped

@@ -67,7 +67,6 @@ def streams():
         request_timeout=15.0,
         snapshot_interval=SNAPSHOT_INTERVAL,
     )
-    assert router.transport == "binary"  # the tentpole path is the default
     server = RouterServer(("127.0.0.1", 0), router)
     base = f"http://127.0.0.1:{server.server_address[1]}"
     thread = threading.Thread(target=server.serve_forever, daemon=True)

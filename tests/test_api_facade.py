@@ -1,7 +1,7 @@
-"""Import stability of the :mod:`repro.api` facade, plus the
-deprecation shims left behind by the surface consolidation: moved
-policy constants still import from their old home (with a warning), and
-positional config tails still work one release behind a warning."""
+"""Import stability of the :mod:`repro.api` facade, plus the end of the
+deprecation shims the surface consolidation left behind: moved policy
+constants no longer import from their old home, and positional config
+tails are a ``TypeError``."""
 
 import inspect
 import warnings
@@ -57,12 +57,12 @@ class TestFacadeSurface:
 
 
 class TestRunnerConstantShim:
-    def test_old_import_warns_and_matches(self):
+    def test_old_import_is_an_attribute_error(self):
         from repro.experiments import runner
 
-        with pytest.warns(DeprecationWarning, match="repro.core.policies"):
-            old = runner.POLICY_KEEP
-        assert old == api.POLICY_KEEP
+        for name in ("POLICY_KEEP", "ONLINE_POLICIES", "ALL_SELLING_POLICIES"):
+            with pytest.raises(AttributeError):
+                getattr(runner, name)
 
     def test_unknown_attribute_still_raises(self):
         from repro.experiments import runner
@@ -72,7 +72,7 @@ class TestRunnerConstantShim:
 
 
 class TestPositionalTailDeprecation:
-    def test_build_app_positional_phis_warns_but_works(self):
+    def test_build_app_positional_phis_is_a_type_error(self):
         from repro.core.account import CostModel
         from repro.pricing.plan import PricingPlan
 
@@ -82,13 +82,9 @@ class TestPositionalTailDeprecation:
             ),
             selling_discount=0.8,
         )
-        with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-            app = api.build_app(model, (0.5,))
-        assert app.fleet.phis == (0.5,)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            app = api.build_app(model, phis=(0.5,))
-        assert app.fleet.phis == (0.5,)
+        with pytest.raises(TypeError):
+            api.build_app(model, (0.5,))
+        assert api.build_app(model, phis=(0.5,)).fleet.phis == (0.5,)
 
     @pytest.fixture(scope="class")
     def tiny(self):
@@ -97,12 +93,14 @@ class TestPositionalTailDeprecation:
         )
         return config, api.build_experiment_population(config)
 
-    def test_run_user_positional_tail_warns_but_works(self, tiny):
+    def test_run_user_and_run_sweep_positional_tails_are_type_errors(self, tiny):
         config, population = tiny
-        with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-            positional = api.run_user(population[0], config, True)
-        quiet = api.run_user(population[0], config, include_opt=True)
-        assert positional.costs == quiet.costs
+        with pytest.raises(TypeError):
+            api.run_user(population[0], config, True)
+        with pytest.raises(TypeError):
+            api.run_sweep(config, population)
+        outcome = api.run_user(population[0], config, include_opt=True)
+        assert api.POLICY_OPT in outcome.costs
 
     def test_too_many_positionals_is_a_type_error(self, tiny):
         config, population = tiny
