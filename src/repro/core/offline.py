@@ -19,6 +19,16 @@ vectorised suffix-sum pass, and the optimiser runs coordinate descent
 every accepted move strictly lowers the true total cost, so it
 terminates.
 
+The descent runs from several starts, and runs them together: each
+start is one row ("lane") of a ``lanes × horizon`` active-count array,
+and all live lanes visit instance *k* in the same step, so one step
+scores instance *k*'s window for every lane with one 2-D suffix sum and
+a row-wise argmin. Lanes share no state, so each makes exactly the
+moves of its own sequential descent. The starts are batched, not the
+users: one user's instances are visited in order, so a cross-user
+lockstep would still take as many steps per pass as the largest user
+has instances.
+
 ``offline_decisions`` exposes the first pass against the keep-everything
 world (the per-instance benchmark the paper's proofs reason about), and
 :func:`optimal_sale_hour` remains the single-profile primitive used in
@@ -27,7 +37,7 @@ proof-level analyses.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +46,7 @@ from numpy.typing import ArrayLike
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.instance import ReservedInstance
 from repro.core.policies import POLICY_OPT, ScriptedSellingPolicy
-from repro.core.simulator import SimulationResult, run_policy
+from repro.core.simulator import SimulationResult, _normalise_reservations, run_policy
 from repro.errors import SimulationError
 from repro.workload.base import TraceLike, as_trace
 
@@ -66,8 +76,7 @@ def optimal_sale_hour(
     min_age`` (the proofs take ε ∈ [φ, 1]). Returns ``(None, 0.0)`` when
     keeping is optimal.
     """
-    if min_age < 1:
-        raise SimulationError(f"min_age must be >= 1, got {min_age!r}")
+    _check_min_age(min_age)
     start = instance.reserved_at
     end = min(instance.expires_at, horizon)
     length = end - start
@@ -78,36 +87,29 @@ def optimal_sale_hour(
         )
     if length <= min_age:
         return None, 0.0
-    best_age, best_delta = _best_sale_age(
-        spill=busy.astype(np.int64),
-        length=length,
-        period=instance.period,
-        model=model,
-        min_age=min_age,
+    ages, deltas = _best_sale_ages(
+        busy.astype(np.int64)[np.newaxis],
+        _fixed_deltas(length, instance.period, model, min_age),
+        model,
+        min_age,
     )
-    if best_age is None:
+    if ages[0] < 0:
         return None, 0.0
-    return start + best_age, best_delta
+    return start + int(ages[0]), float(deltas[0])
 
 
-def _best_sale_age(
-    spill: np.ndarray,
-    length: int,
-    period: int,
-    model: CostModel,
-    min_age: int,
-) -> "tuple[int | None, float]":
-    """Vectorised argmin of delta(age) over ``age in [min_age, length)``.
+def _check_min_age(min_age: int) -> None:
+    if min_age < 1:
+        raise SimulationError(f"min_age must be >= 1, got {min_age!r}")
 
-    ``spill`` is the per-hour indicator (0/1) of "selling costs an
-    on-demand hour here"; for the isolated primitive it is the busy
-    profile, for the fleet optimiser it is ``d >= r``.
-    """
+
+def _fixed_deltas(
+    length: int, period: int, model: CostModel, min_age: int
+) -> np.ndarray:
+    """The part of delta(age), ``age in [min_age, length)``, that does
+    not depend on the rest of the fleet: minus the sale income and,
+    under active billing, minus the saved hourly fees."""
     ages = np.arange(min_age, length)
-    if ages.size == 0:
-        return None, 0.0
-    # spill_after[k] = spill hours in [age k, length)
-    spill_after = np.concatenate((np.cumsum(spill[::-1])[::-1], [0]))
     remaining_fractions = 1.0 - ages / period
     incomes = (
         (1.0 - model.marketplace_fee)
@@ -116,118 +118,161 @@ def _best_sale_age(
         * model.big_r
     )
     if model.fee_mode is HourlyFeeMode.ACTIVE:
-        saved_fees = model.alpha * model.p * (length - ages)
-        extra_on_demand = model.p * spill_after[ages]
+        return -incomes - model.alpha * model.p * (length - ages)
+    return -incomes
+
+
+def _best_sale_ages(
+    spill: np.ndarray, fixed: np.ndarray, model: CostModel, min_age: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Row-wise argmin of delta(age) over ``age in [min_age, length)``.
+
+    ``spill`` (rows × length) marks the hours where selling costs an
+    on-demand hour: the busy profile for the isolated primitive, ``d >=
+    r`` for the fleet optimiser. ``fixed`` is :func:`_fixed_deltas` for
+    the same length. Returns each row's best age, or -1 where keeping
+    is optimal, and its delta (0.0 where keeping is optimal).
+    """
+    # spill_after[:, j] = spill hours in [min_age + j, length)
+    spill_after = np.cumsum(spill[:, min_age:][:, ::-1], axis=1)[:, ::-1]
+    extra_on_demand = model.p * spill_after
+    if model.fee_mode is HourlyFeeMode.ACTIVE:
+        deltas = fixed + extra_on_demand
     else:
         # Usage billing: the pool's billed hours drop by one exactly at
         # spill hours, and those same hours move to on-demand.
-        saved_fees = model.alpha * model.p * spill_after[ages]
-        extra_on_demand = model.p * spill_after[ages]
-    deltas = -incomes - saved_fees + extra_on_demand
-    best_index = int(np.argmin(deltas))
-    best_delta = float(deltas[best_index])
-    if best_delta >= 0.0 or math.isclose(best_delta, 0.0, abs_tol=1e-12):
-        return None, 0.0
-    return int(ages[best_index]), best_delta
+        deltas = fixed - model.alpha * model.p * spill_after + extra_on_demand
+    best = deltas.argmin(axis=1)
+    best_deltas = deltas[np.arange(best.size), best]
+    keep = best_deltas >= -1e-12  # a sale must save more than 1e-12
+    return np.where(keep, -1, best + min_age), np.where(keep, 0.0, best_deltas)
 
 
-class _FleetOptimizer:
-    """Coordinate descent over per-instance sale hours, exact marginals."""
+def _spans(counts: np.ndarray, period: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Instance spans ``[start, end)`` in reservation order (matching
+    ledger ids), clipped by the horizon."""
+    horizon = counts.size
+    starts = np.repeat(np.arange(horizon), counts)
+    return starts, np.minimum(starts + period, horizon)
 
-    def __init__(self, demands: np.ndarray, reservations: np.ndarray,
-                 model: CostModel, min_age: int) -> None:
-        if min_age < 1:
-            raise SimulationError(f"min_age must be >= 1, got {min_age!r}")
-        self.d = demands
-        self.model = model
-        self.min_age = min_age
-        self.horizon = demands.size
-        self.period = model.period
-        # Instance spans in reservation order (matching ledger ids).
-        self.spans: list[tuple[int, int]] = []
-        for hour in np.flatnonzero(reservations):
-            for _ in range(int(reservations[hour])):
-                self.spans.append(
-                    (int(hour), min(int(hour) + self.period, self.horizon))
+
+def _timeline(starts: np.ndarray, stops: np.ndarray, horizon: int) -> np.ndarray:
+    """Active-count timeline of instances each active over
+    ``[starts[i], stops[i])``."""
+    changes = np.bincount(starts, minlength=horizon + 1) - np.bincount(
+        stops, minlength=horizon + 1
+    )
+    return np.cumsum(changes[:horizon])
+
+
+def _sales(stops: np.ndarray, ends: np.ndarray) -> dict[int, int]:
+    """Stops as a schedule: instance id → sale hour, kept instances
+    omitted."""
+    return {
+        index: hour
+        for index, (hour, end) in enumerate(zip(stops.tolist(), ends.tolist()))
+        if hour < end
+    }
+
+
+def _schedule_cost(
+    demands: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    stops: np.ndarray,
+    model: CostModel,
+) -> float:
+    """True Eq. (1) total cost of a schedule in which instance ``i`` is
+    active over ``[starts[i], stops[i])`` and sold at ``stops[i]`` when
+    that is before ``ends[i]``."""
+    r = _timeline(starts, stops, demands.size)
+    ages = (stops - starts)[stops < ends]
+    incomes = (
+        (1.0 - model.marketplace_fee)
+        * model.selling_discount
+        * (1.0 - ages / model.period)
+        * model.big_r
+    )
+    income = 0.0
+    for value in incomes.tolist():  # in instance order, as a running sum
+        income += value
+    on_demand = np.maximum(demands - r, 0)
+    if model.fee_mode is HourlyFeeMode.ACTIVE:
+        billed = int(r.sum())
+    else:
+        billed = int(np.minimum(demands, r).sum())
+    return (
+        float(on_demand.sum()) * model.p
+        + len(starts) * model.big_r
+        + billed * model.alpha * model.p
+        - income
+    )
+
+
+def _descend(
+    demands: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    stops: np.ndarray,
+    model: CostModel,
+    min_age: int,
+    max_passes: int,
+) -> None:
+    """Coordinate descent of every lane in lockstep, in place.
+
+    Row ``stops[lane]`` is one lane's schedule: instance ``i`` stops at
+    its sale hour, or at ``ends[i]`` when kept. A pass visits the
+    instances in order and moves each to its best sale hour with the
+    others held fixed; a lane stops after a pass without a move, and
+    every lane after ``max_passes`` passes.
+    """
+    horizon = demands.size
+    r = np.stack([_timeline(starts, row, horizon) for row in stops])
+    span_starts, span_ends = starts.tolist(), ends.tolist()
+    # Per window length: its hour offsets and its fixed deltas.
+    by_length: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+    live = np.arange(stops.shape[0])
+    for _ in range(max_passes):
+        changed = np.zeros(stops.shape[0], dtype=bool)
+        for k, (start, end) in enumerate(zip(span_starts, span_ends)):
+            length = end - start
+            if length <= min_age:
+                continue
+            current = stops[live, k]
+            lanes = live
+            if k and start == span_starts[k - 1]:
+                # Instance k-1 has the same span. A lane whose stop for k
+                # equals the stop it just chose for k-1 would score k on
+                # the very timeline it scored k-1 on, so it would choose
+                # that stop again: it keeps it.
+                differs = current != stops[live, k - 1]
+                lanes, current = live[differs], current[differs]
+                if lanes.size == 0:
+                    continue
+            if length not in by_length:
+                by_length[length] = (
+                    np.arange(length),
+                    _fixed_deltas(length, model.period, model, min_age),
                 )
-        # Active-count timeline under the current schedule (start: keep).
-        self.r = np.zeros(self.horizon, dtype=np.int64)
-        for start, end in self.spans:
-            self.r[start:end] += 1
-        self.sales: dict[int, int] = {}
-
-    def _evaluate(self, index: int) -> "tuple[int | None, float]":
-        """Best sale hour for one instance, others held fixed."""
-        start, end = self.spans[index]
-        length = end - start
-        if length <= self.min_age:
-            return None, 0.0
-        current = self.sales.get(index)
-        if current is not None:  # restore to "kept" for the evaluation
-            self.r[current:end] += 1
-        window = slice(start, end)
-        spill = (self.d[window] >= self.r[window]).astype(np.int64)
-        best_age, best_delta = _best_sale_age(
-            spill=spill, length=length, period=self.period,
-            model=self.model, min_age=self.min_age,
-        )
-        if current is not None:  # undo the restoration
-            self.r[current:end] -= 1
-        if best_age is None:
-            return None, best_delta
-        return start + best_age, best_delta
-
-    def _apply(self, index: int, sell_hour: "int | None") -> None:
-        start, end = self.spans[index]
-        current = self.sales.get(index)
-        if current == sell_hour:
-            return
-        if current is not None:
-            self.r[current:end] += 1
-            del self.sales[index]
-        if sell_hour is not None:
-            self.r[sell_hour:end] -= 1
-            self.sales[index] = sell_hour
-
-    def optimise(self, max_passes: int) -> dict[int, int]:
-        for _ in range(max_passes):
-            changed = False
-            for index in range(len(self.spans)):
-                previous = self.sales.get(index)
-                sell_hour, _ = self._evaluate(index)
-                if sell_hour != previous:
-                    self._apply(index, sell_hour)
-                    changed = True
-            if not changed:
-                break
-        return dict(self.sales)
-
-    def seed(self, sales: dict[int, int]) -> None:
-        """Initialise the schedule before optimising (multi-start)."""
-        for index, hour in sales.items():
-            self._apply(index, hour)
-
-    def schedule_cost(self, sales: dict[int, int]) -> float:
-        """True Eq. (1) total cost of an arbitrary schedule."""
-        r = np.zeros(self.horizon, dtype=np.int64)
-        income = 0.0
-        for index, (start, end) in enumerate(self.spans):
-            stop = sales.get(index, end)
-            r[start:stop] += 1
-            if index in sales:
-                age = sales[index] - start
-                income += self.model.sale_income(1.0 - age / self.period)
-        on_demand = np.maximum(self.d - r, 0)
-        if self.model.fee_mode is HourlyFeeMode.ACTIVE:
-            billed = int(r.sum())
-        else:
-            billed = int(np.minimum(self.d, r).sum())
-        return (
-            float(on_demand.sum()) * self.model.p
-            + len(self.spans) * self.model.big_r
-            + billed * self.model.alpha * self.model.p
-            - income
-        )
+            hours, fixed = by_length[length]
+            window = r[lanes, start:end]
+            # Score instance k as kept: restore it where a lane sold it.
+            window += hours >= (current - start)[:, np.newaxis]
+            ages, _ = _best_sale_ages(demands[start:end] >= window, fixed, model, min_age)
+            chosen = np.where(ages < 0, end, start + ages)
+            # Instance k is now active over [start, new), not [start, old).
+            for lane, old, new in zip(lanes.tolist(), current.tolist(), chosen.tolist()):
+                if new < old:
+                    r[lane, new:old] -= 1
+                elif new > old:
+                    r[lane, old:new] += 1
+                else:
+                    continue
+                stops[lane, k] = new
+                changed[lane] = True
+        live = live[changed[live]]
+        if live.size == 0:
+            break
 
 
 def _policy_start_schedules(
@@ -279,59 +324,50 @@ def offline_optimal_schedule(
 
     Each accepted move strictly improves the true Eq. (1) cost;
     ``max_passes`` bounds the sweeps (convergence is typically 2-3).
-    The result is certified globally optimal on small fleets by the
-    brute-force cross-check in the property suite; on larger fleets it
-    is a (near-)optimal feasible benchmark.
+    A later start replaces the best so far only when it is cheaper by
+    more than 1e-12. The result is certified globally optimal on small
+    fleets by the brute-force cross-check in the property suite; on
+    larger fleets it is a (near-)optimal feasible benchmark.
     """
     trace = as_trace(demands)
-    horizon = len(trace)
-    schedule = np.asarray(reservations).astype(np.int64)
-    if schedule.size != horizon:
-        raise SimulationError(
-            f"reservations cover {schedule.size} hours, demands {horizon}"
-        )
+    counts = _normalise_reservations(reservations, len(trace))
     if max_passes < 1:
         raise SimulationError(f"max_passes must be >= 1, got {max_passes!r}")
+    _check_min_age(min_age)
+    d = trace.values
+    starts, ends = _spans(counts, model.period)
+    span_starts, span_ends = starts.tolist(), ends.tolist()
 
-    def solve(start: "dict[int, int]") -> "tuple[dict[int, int], float]":
-        optimizer = _FleetOptimizer(trace.values, schedule, model, min_age)
-        optimizer.seed(start)
-        sales = optimizer.optimise(max_passes)
-        return sales, optimizer.schedule_cost(sales)
-
-    reference = _FleetOptimizer(trace.values, schedule, model, min_age)
-    sell_early = {
-        index: start + min_age
-        for index, (start, end) in enumerate(reference.spans)
-        if end - start > min_age
-    }
-    starts: list[dict[int, int]] = [sell_early]
-    if policy_starts:
-        starts.extend(_policy_start_schedules(trace.values, schedule, model))
-    if extra_starts:
-        starts.extend(extra_starts)
-
-    def feasible(start: dict[int, int]) -> dict[int, int]:
-        """Drop seed entries violating min_age or falling outside spans,
-        so a policy seed remains usable under a restricted benchmark."""
-        cleaned = {}
+    def feasible(start: dict[int, int]) -> list[int]:
+        """The start as stops, without entries violating min_age or
+        falling outside spans, so a policy seed remains usable under a
+        restricted benchmark."""
+        row = list(span_ends)
         for index, hour in start.items():
-            if not 0 <= index < len(reference.spans):
-                continue
-            span_start, span_end = reference.spans[index]
-            if span_start + min_age <= hour < span_end:
-                cleaned[index] = hour
-        return cleaned
+            if 0 <= index < len(row) and (
+                span_starts[index] + min_age <= hour < span_ends[index]
+            ):
+                row[index] = hour
+        return row
 
-    best_sales, best_cost = solve({})
-    for start in starts:
-        try:
-            sales, cost = solve(feasible(start))
-        except SimulationError:
-            continue  # a start the optimiser cannot represent — skip it
+    sell_early = np.where(ends - starts > min_age, starts + min_age, ends)
+    seeds = []
+    if policy_starts:
+        seeds.extend(_policy_start_schedules(d, counts, model))
+    if extra_starts:
+        seeds.extend(extra_starts)
+    stops = np.array(
+        [span_ends, sell_early.tolist()] + [feasible(seed) for seed in seeds],
+        dtype=np.int64,
+    )
+    _descend(d, starts, ends, stops, model, min_age, max_passes)
+
+    best_lane, best_cost = 0, _schedule_cost(d, starts, ends, stops[0], model)
+    for lane in range(1, stops.shape[0]):
+        cost = _schedule_cost(d, starts, ends, stops[lane], model)
         if cost < best_cost - 1e-12:
-            best_sales, best_cost = sales, cost
-    return best_sales
+            best_lane, best_cost = lane, cost
+    return _sales(stops[best_lane], ends)
 
 
 def run_offline_optimal(
@@ -366,65 +402,31 @@ def exhaustive_optimal_schedule(
     exponential.
     """
     trace = as_trace(demands)
-    horizon = len(trace)
-    schedule = np.asarray(reservations).astype(np.int64)
-    if schedule.size != horizon:
-        raise SimulationError(
-            f"reservations cover {schedule.size} hours, demands {horizon}"
-        )
-    optimizer = _FleetOptimizer(trace.values, schedule, model, min_age)
-    spans = optimizer.spans
-    if len(spans) > max_instances:
+    counts = _normalise_reservations(reservations, len(trace))
+    _check_min_age(min_age)
+    d = trace.values
+    starts, ends = _spans(counts, model.period)
+    if starts.size > max_instances:
         raise SimulationError(
             f"exhaustive search is limited to {max_instances} instances, "
-            f"got {len(spans)}"
+            f"got {starts.size}"
         )
-    d = trace.values
-    n_total = int(schedule.sum())
-    upfront_total = n_total * model.big_r
-
-    def total_cost(sales: dict[int, int]) -> float:
-        r = np.zeros(horizon, dtype=np.int64)
-        income = 0.0
-        for index, (start, end) in enumerate(spans):
-            stop = sales.get(index, end)
-            r[start:stop] += 1
-            if index in sales:
-                age = sales[index] - start
-                income += model.sale_income(1.0 - age / model.period)
-        on_demand = np.maximum(d - r, 0)
-        if model.fee_mode is HourlyFeeMode.ACTIVE:
-            billed = int(r.sum())
-        else:
-            billed = int(np.minimum(d, r).sum())
-        return (
-            float(on_demand.sum()) * model.p
-            + upfront_total
-            + billed * model.alpha * model.p
-            - income
-        )
-
-    import itertools
-
-    options_per_instance = []
-    for start, end in spans:
-        candidates: list["int | None"] = [None]
-        candidates.extend(range(start + min_age, end))
-        options_per_instance.append(candidates)
-
-    best_sales: dict[int, int] = {}
-    best_cost = total_cost({})
+    # Each instance's options: keep (stop at its end) or any sale hour.
+    options_per_instance = [
+        [end, *range(start + min_age, end)]
+        for start, end in zip(starts.tolist(), ends.tolist())
+    ]
+    best_stops = ends
+    best_cost = _schedule_cost(d, starts, ends, ends, model)
     for combo in itertools.product(*options_per_instance):
-        sales = {
-            index: hour for index, hour in enumerate(combo) if hour is not None
-        }
-        if not sales:
+        stops = np.array(combo, dtype=np.int64)
+        if np.array_equal(stops, ends):
             continue
-        cost = total_cost(sales)
+        cost = _schedule_cost(d, starts, ends, stops, model)
         if cost < best_cost - 1e-12:
             best_cost = cost
-            best_sales = sales
-    return best_sales, best_cost
+            best_stops = stops
+    return _sales(best_stops, ends), best_cost
 
 
 def offline_decisions(
@@ -436,15 +438,23 @@ def offline_decisions(
     """Per-instance offline decisions against the keep-world (the proofs'
     per-instance benchmark), with their exact cost deltas."""
     trace = as_trace(demands)
-    schedule = np.asarray(reservations).astype(np.int64)
-    if schedule.size != len(trace):
-        raise SimulationError(
-            f"reservations cover {schedule.size} hours, demands {len(trace)}"
-        )
-    optimizer = _FleetOptimizer(trace.values, schedule, model, min_age)
+    counts = _normalise_reservations(reservations, len(trace))
+    _check_min_age(min_age)
+    d = trace.values
+    starts, ends = _spans(counts, model.period)
+    r = _timeline(starts, ends, d.size)
     decisions = []
-    for index in range(len(optimizer.spans)):
-        sell_hour, delta = optimizer._evaluate(index)
+    for index, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        sell_hour, delta = None, 0.0
+        if end - start > min_age:
+            ages, deltas = _best_sale_ages(
+                (d[start:end] >= r[start:end])[np.newaxis],
+                _fixed_deltas(end - start, model.period, model, min_age),
+                model,
+                min_age,
+            )
+            if ages[0] >= 0:
+                sell_hour, delta = start + int(ages[0]), float(deltas[0])
         decisions.append(
             OfflineDecision(instance_id=index, sell_hour=sell_hour, cost_delta=delta)
         )

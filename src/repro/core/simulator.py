@@ -199,7 +199,8 @@ def _normalise_reservations(reservations, horizon: int) -> np.ndarray:
         )
     if np.any(array < 0):
         raise SimulationError("reservation counts must be non-negative")
-    as_int = array.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN casts to garbage, refused below
+        as_int = array.astype(np.int64)
     if not np.array_equal(as_int, array):
         raise SimulationError("reservation counts must be whole numbers")
     return as_int

@@ -469,10 +469,12 @@ def _run_population_block(
         )
     opt_results = None
     if task.include_opt:
-        # OPT has no tensor formulation (its sale schedule is a per-user
-        # search); fall back to the per-user oracle inside the block.
-        # It also stays the instant-sale clairvoyant baseline under
-        # clearing (see _simulate_user).
+        # OPT runs per user, its multi-start descents batched as lanes
+        # inside each call. Users are not batched: each descent visits a
+        # user's instances in order, so a cross-user lockstep takes as
+        # many steps as the largest user has instances. OPT also stays
+        # the instant-sale clairvoyant baseline under clearing (see
+        # _simulate_user).
         opt_results = [
             run_offline_optimal(d[user], n[user], model) for user in range(block_users)
         ]

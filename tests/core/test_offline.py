@@ -1,11 +1,14 @@
 """Unit tests for repro.core.offline (the OPT benchmark)."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.instance import ReservedInstance
 from repro.core.offline import (
+    exhaustive_optimal_schedule,
     offline_decisions,
     offline_optimal_schedule,
     optimal_sale_hour,
@@ -121,6 +124,30 @@ class TestScheduleAndRun:
     def test_mismatched_inputs(self, toy_model):
         with pytest.raises(SimulationError):
             offline_optimal_schedule([1, 2, 3], [0, 0], toy_model)
+
+
+MALFORMED_COUNTS = {
+    "fractional": [1.5] + [0] * 15,
+    "negative": [-1] + [0] * 15,
+    "nan": [float("nan")] + [0] * 15,
+    "2-D": [S1_RESERVATIONS],
+}
+ENTRY_POINTS = {
+    "offline_optimal_schedule": offline_optimal_schedule,
+    "without_policy_starts": functools.partial(
+        offline_optimal_schedule, policy_starts=False
+    ),
+    "run_offline_optimal": run_offline_optimal,
+    "offline_decisions": offline_decisions,
+    "exhaustive_optimal_schedule": exhaustive_optimal_schedule,
+}
+
+
+@pytest.mark.parametrize("counts", MALFORMED_COUNTS.values(), ids=MALFORMED_COUNTS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_malformed_reservation_counts_are_refused(entry, counts, toy_model):
+    with pytest.raises(SimulationError):
+        entry(S1_DEMANDS, counts, toy_model)
 
 
 class TestDecisions:
