@@ -12,6 +12,9 @@ algorithm sells it at φT "to compensate for this mistake".
 
 from __future__ import annotations
 
+import math
+from typing import Type
+
 from repro.errors import PolicyError
 from repro.pricing.plan import PricingPlan
 
@@ -29,6 +32,24 @@ def validate_phi(phi: float) -> float:
     if not 0.0 < phi < 1.0:
         raise PolicyError(f"decision fraction phi must lie in (0, 1), got {phi!r}")
     return phi
+
+
+def validate_threshold_scale(
+    threshold_scale: float, error: "Type[Exception]"
+) -> float:
+    """Reject negative and non-finite β multipliers; returns the value.
+
+    ``nan`` passes a bare ``< 0`` guard and then poisons every
+    ``working < scale·β`` comparison (all False), silently disabling
+    selling — so non-finite values are rejected loudly instead, as
+    ``error`` (each caller keeps its own module's error type). Every
+    constructor and engine that takes a ``threshold_scale`` calls this.
+    """
+    if not math.isfinite(threshold_scale):
+        raise error(f"threshold_scale must be finite, got {threshold_scale!r}")
+    if threshold_scale < 0:
+        raise error(f"threshold_scale must be >= 0, got {threshold_scale!r}")
+    return threshold_scale
 
 
 def break_even_working_hours(

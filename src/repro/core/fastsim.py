@@ -1,16 +1,34 @@
-"""Vectorised transliteration of the paper's Algorithm 1 / Algorithm 2.
+"""Array engine for the paper's Algorithm 1 / Algorithm 2, one user at a time.
 
-This engine mirrors the pseudocode directly on numpy arrays — the hourly
-loop, the ``l`` running sum, the ``r_j − d_j − i + 1 > l`` freeness test,
-and the history/future ``r_k`` decrements on sale — with no instance
-objects. It exists for two reasons:
+The engine applies the pseudocode's decision rule on numpy arrays — the
+``l`` running sum, the ``r_j − d_j − i + 1 > l_j`` freeness test, and
+the history/future ``r_k`` decrements on sale — with no instance
+objects. It is the per-user engine of population sweeps (the CLI's
+default ``--engine user``) and supplies OPT's policy seed runs.
 
-1. **Fidelity**: it is a line-by-line rendering of the published
-   pseudocode, equivalence-tested against the object-model
-   :class:`~repro.core.simulator.SellingSimulator` (they must produce the
-   same sales and the same cost breakdowns).
-2. **Throughput**: population-scale sweeps (300 users × several policies
-   × year-long horizons) run via this path.
+It is not a line-by-line rendering of the pseudocode. Two exact
+collapses make its cost follow the batches, not the hours or the
+instances:
+
+1. Only decision hours are visited: ``t0 + φT`` for each ``t0`` with
+   ``n[t0] > 0`` whose decision hour lands inside the horizon. Every
+   other hour of the pseudocode's loop makes no decision.
+2. Each batch is decided from one sorted slack vector
+   ``c = r_eff − d − l`` over its window ``[t0, t0 + φT)``. While every
+   earlier instance of the batch has sold, instance ``i`` sees ``r_eff``
+   lowered by ``i − 1``, so it is free at hour ``k`` iff
+   ``c_k > 2(i − 1)`` and its working time is ``#{c ≤ 2(i − 1)}``: one
+   ``searchsorted`` covers the batch. Working time never falls within a
+   batch (a kept instance leaves ``r_eff`` alone, a sale lowers it), so
+   the instances sold are the leading run passing ``working < scale·β``
+   and the history rewrite applies once per batch.
+
+The pseudocode-literal loop — every hour, one window scan per instance,
+one rewrite per sale — is kept as the test reference
+(``tests/core/fastsim_reference.py``), and every :class:`FastResult`
+field must equal it bit for bit. The object-model
+:class:`~repro.core.simulator.SellingSimulator` stays the readable
+oracle both engines are equivalence-tested against.
 
 One deliberate clarification shared by both engines (see DESIGN.md §4): a
 sale at decision hour ``t`` takes effect at the start of ``t`` (the
@@ -21,14 +39,17 @@ of the analysis (Eq. (15): the instance serves nothing after the spot).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._arrays import as_count_array
 from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
-from repro.core.breakeven import break_even_working_hours, validate_phi
+from repro.core.breakeven import (
+    break_even_working_hours,
+    validate_phi,
+    validate_threshold_scale,
+)
 from repro.core.cancellation import (
     CancellationModel,
     Rebuy,
@@ -41,25 +62,10 @@ from repro.errors import SimulationError
 #: Version of the fast engine's numerical behaviour. Part of the sweep
 #: cache key (see :mod:`repro.parallel.cache`): bump it whenever a change
 #: here could alter any :class:`FastResult`, so stale cached outcomes are
-#: invalidated. v2 = the incremental running-sum ``l`` computation.
+#: invalidated (``tests/core/test_engine_version.py`` pins a digest of
+#: the outputs to this number). v2 = the incremental running-sum ``l``
+#: computation.
 ENGINE_VERSION = 2
-
-
-def validate_threshold_scale(threshold_scale: float) -> float:
-    """Reject negative and non-finite β multipliers; returns the value.
-
-    ``nan`` passes a bare ``< 0`` guard and then poisons every
-    ``working < scale·β`` comparison (all False), silently disabling
-    selling — so non-finite values are rejected loudly instead. Shared
-    by :func:`run_fast` and :func:`repro.core.popsim.run_population`.
-    """
-    if not math.isfinite(threshold_scale):
-        raise SimulationError(
-            f"threshold_scale must be finite, got {threshold_scale!r}"
-        )
-    if threshold_scale < 0:
-        raise SimulationError(f"threshold_scale must be >= 0, got {threshold_scale!r}")
-    return threshold_scale
 
 
 class FastPolicyKind(enum.Enum):
@@ -201,7 +207,7 @@ def run_fast(
     period = model.period
     if kind is not FastPolicyKind.KEEP_RESERVED:
         validate_phi(phi)
-    validate_threshold_scale(threshold_scale)
+    validate_threshold_scale(threshold_scale, SimulationError)
     if clearing is not None and not isinstance(clearing, ClearingModel):
         raise SimulationError(
             f"clearing must be a ClearingModel or None, got "
@@ -257,33 +263,41 @@ def run_fast(
         # ``n`` and the whole family of per-hour cumulative sums collapses
         # into one prefix sum computed once per run.
         n_prefix = np.concatenate(([0], np.cumsum(n)))
-        for t in range(decision_age, horizon):
-            t0 = t - decision_age
+        # Hours without a batch are "no need to make decisions at this
+        # moment"; visit only the batches decided inside the horizon.
+        for t0 in np.flatnonzero(n[: max(horizon - decision_age, 0)]).tolist():
+            t = t0 + decision_age
             batch = int(n[t0])
-            if batch == 0:
-                continue  # "no need to make decisions at this moment"
-            window = slice(t0, t)
-            l_values = n_prefix[t0 + 1:t + 1] - n_prefix[t0 + 1]
-            for i in range(1, batch + 1):  # the pseudocode's instance loop
-                free = (
-                    r_effective[window] - d[window] - i + 1 > l_values
-                )
-                working = decision_age - int(np.count_nonzero(free))
-                if kind is FastPolicyKind.ONLINE:
-                    sell = working < threshold_scale * beta
-                else:  # ALL_SELLING
-                    sell = True
-                if not sell:
-                    continue
-                end = min(t0 + period, horizon)
-                r_effective[t0:end] -= 1  # history rewrite (lines 17-21)
+            # Instance i is free at hour k iff r_eff_k − d_k − i + 1 > l_k.
+            # While its i − 1 predecessors have all sold, r_eff sits i − 1
+            # lower, so that is slack_k > 2(i − 1): each working time is a
+            # count of the sorted slack, non-decreasing over the batch.
+            slack = np.sort(
+                r_effective[t0:t]
+                - d[t0:t]
+                - (n_prefix[t0 + 1:t + 1] - n_prefix[t0 + 1])
+            )
+            working = np.searchsorted(slack, 2 * np.arange(batch), side="right")
+            if kind is FastPolicyKind.ONLINE:
+                # The first kept instance leaves r_eff alone, so every
+                # later one works at least as long and is kept too: the
+                # sales are the leading run that passes the test.
+                sold = int(np.count_nonzero(working < threshold_scale * beta))
+            else:  # ALL_SELLING
+                sold = batch
+            if sold == 0:
+                continue
+            end = min(t0 + period, horizon)
+            r_effective[t0:end] -= sold  # history rewrite (lines 17-21)
+            if clear_profile is None:
+                r_physical[t:end] -= sold  # future: the units stop serving
+            for i, hours in enumerate(working[:sold].tolist(), start=1):
                 sales.append(
                     FastSale(
-                        reserved_at=t0, batch_index=i, hour=t, working_hours=working
+                        reserved_at=t0, batch_index=i, hour=t, working_hours=hours
                     )
                 )
                 if clear_profile is None:
-                    r_physical[t:end] -= 1  # future: the unit stops serving
                     income += per_sale_income
                     continue
                 # Clearing: the decision opened a listing. The unit keeps

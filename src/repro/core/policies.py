@@ -28,6 +28,7 @@ from repro.core.breakeven import (
     PHI_T4,
     break_even_working_hours,
     validate_phi,
+    validate_threshold_scale,
 )
 from repro.core.clearing import (
     SCHEDULE_ADAPTIVE,
@@ -146,8 +147,7 @@ class OnlineSellingPolicy(SellingPolicy):
 
     def __init__(self, phi: float, threshold_scale: float = 1.0) -> None:
         validate_phi(phi)
-        if threshold_scale < 0:
-            raise PolicyError(f"threshold_scale must be >= 0, got {threshold_scale!r}")
+        validate_threshold_scale(threshold_scale, PolicyError)
         self.phi = phi
         self.threshold_scale = threshold_scale
         self.name = f"A_{{{self._spot_label(phi)}}}"

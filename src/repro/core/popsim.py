@@ -1,13 +1,14 @@
 """Population-tensor engine: one policy over every user in one pass.
 
-:func:`repro.core.fastsim.run_fast` renders Algorithm 1/2 faithfully for
-*one* user; sweeping a population through it costs one Python loop per
-user (≈257 users/sec in ``BENCH_sweep.json``), which is fatal for the
-ROADMAP's millions-of-users target. This module runs the same decision
-rule over a whole ``(users × hours)`` demand/reservation tensor with
-numpy doing the user dimension, and is proven **bit-identical** to
-``run_fast`` per user (``tests/core/test_popsim.py`` sweeps ≥40 seeds ×
-3 φ × 3 policy kinds).
+:func:`repro.core.fastsim.run_fast` decides Algorithm 1/2 for *one*
+user, with a Python loop over that user's reservation batches; sweeping
+a population through it costs one call per user and policy (about 100
+users/s, six policies each, on the paper preset's 17,520-hour horizon in
+``perfbench``'s ``sweep-user`` on a 2-core x86-64 host), too slow for
+millions of users. This module runs the same decision rule over a whole
+``(users × hours)`` demand/reservation tensor with numpy doing the user
+dimension, and is proven **bit-identical** to ``run_fast`` per user
+(``tests/core/test_popsim.py`` sweeps ≥40 seeds × 3 φ × 3 policy kinds).
 
 Why the rule vectorises across users
 ------------------------------------
@@ -27,16 +28,18 @@ observations collapse it:
    round ``j+1``. The loop length becomes the maximum events per user,
    not the number of distinct decision hours.
 2. Within one window the batch loop (the pseudocode's ``i = 1..n_t``)
-   reduces to an order statistic. With ``c_k = r_eff_k − d_k − l_k``
-   over the window, instance ``i`` (with ``s`` sales so far in the
-   batch) is free at hour ``k`` iff ``c_k > i − 1 + s``, so its working
-   time is ``φT − F(i − 1 + s)`` where ``F(m) = #{k : c_k > m}`` is
-   non-increasing in ``m``. Working time is therefore non-decreasing
-   over the batch: once one instance is kept, every later instance is
-   kept too, and the number sold is determined by the ``j0``-th largest
-   value of ``c`` alone (``j0`` = the smallest free-hour count that
-   still sells, a run-level constant). One ``np.partition`` per window
-   replaces the per-instance loop — for every user at once.
+   reduces to an order statistic (``run_fast`` decides its batches by
+   the same fact, one sorted window at a time). With
+   ``c_k = r_eff_k − d_k − l_k`` over the window, instance ``i`` (with
+   ``s`` sales so far in the batch) is free at hour ``k`` iff
+   ``c_k > i − 1 + s``, so its working time is ``φT − F(i − 1 + s)``
+   where ``F(m) = #{k : c_k > m}`` is non-increasing in ``m``. Working
+   time is therefore non-decreasing over the batch: once one instance
+   is kept, every later instance is kept too, and the number sold is
+   determined by the ``j0``-th largest value of ``c`` alone (``j0`` =
+   the smallest free-hour count that still sells, a run-level
+   constant). One ``np.partition`` per window replaces the per-instance
+   loop — for every user at once.
 
 Float identity: β, ``scale·β``, the per-sale income and the cost-model
 products are computed with exactly the expressions ``run_fast`` uses,
@@ -54,10 +57,14 @@ import numpy as np
 
 from repro._arrays import as_count_array
 from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
-from repro.core.breakeven import break_even_working_hours, validate_phi
+from repro.core.breakeven import (
+    break_even_working_hours,
+    validate_phi,
+    validate_threshold_scale,
+)
 from repro.core.cancellation import CancellationModel, SoldUnit, apply_rebuys
 from repro.core.clearing import ClearingModel
-from repro.core.fastsim import FastPolicyKind, validate_threshold_scale
+from repro.core.fastsim import FastPolicyKind
 from repro.core.policies import RandomizedSellingPolicy
 from repro.errors import SimulationError
 
@@ -411,7 +418,7 @@ def run_population(
     users, horizon = d.shape
     if kind is not FastPolicyKind.KEEP_RESERVED:
         validate_phi(phi)
-    validate_threshold_scale(threshold_scale)
+    validate_threshold_scale(threshold_scale, SimulationError)
     if clearing is not None and not isinstance(clearing, ClearingModel):
         raise SimulationError(
             f"clearing must be a ClearingModel or None, got "
@@ -462,14 +469,16 @@ def run_population(
     if evaluate:
         remaining_fraction = 1.0 - decision_age / period
         per_sale_income = model.sale_income(remaining_fraction)
-        if kind is FastPolicyKind.ONLINE:
-            scaled_beta = threshold_scale * beta
+        scaled_beta = threshold_scale * beta
+        if kind is FastPolicyKind.ONLINE and math.isfinite(scaled_beta):
             # Largest integer working time that still sells under the
             # strict ``working < scale·β`` test (exact: ceil on floats).
             max_selling_working = math.ceil(scaled_beta) - 1
             # Smallest free-hour count F that sells (working = φT − F).
             min_selling_free = decision_age - max_selling_working
-        else:  # ALL_SELLING sells regardless of the free-hour count.
+        else:
+            # ALL_SELLING sells regardless of the free-hour count, and so
+            # does ONLINE when a large finite scale overflows scale·β.
             min_selling_free = 0
 
         # Batches whose decision hour lands inside the horizon

@@ -56,6 +56,7 @@ from repro.core.breakeven import (
     PAPER_DECISION_FRACTIONS,
     break_even_working_hours,
     validate_phi,
+    validate_threshold_scale,
 )
 from repro.core.clearing import ClearingModel, ClearingProfile
 from repro.core.fastsim import FastListing, FastPolicyKind, FastSale
@@ -137,10 +138,7 @@ class StreamTracker:
         period = model.period
         if kind is not FastPolicyKind.KEEP_RESERVED:
             validate_phi(phi)
-        if threshold_scale < 0:
-            raise ServeStateError(
-                f"threshold_scale must be >= 0, got {threshold_scale!r}"
-            )
+        validate_threshold_scale(threshold_scale, ServeStateError)
         self.model = model
         self.phi = phi
         self.kind = kind
@@ -590,10 +588,7 @@ class FleetState:
                 f"clearing must be a ClearingModel or None, got "
                 f"{type(clearing).__name__}"
             )
-        if threshold_scale < 0:
-            raise ServeStateError(
-                f"threshold_scale must be >= 0, got {threshold_scale!r}"
-            )
+        validate_threshold_scale(threshold_scale, ServeStateError)
         if not phis:
             raise ServeStateError("at least one decision fraction is required")
         if len(set(phis)) != len(phis):

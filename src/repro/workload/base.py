@@ -23,7 +23,7 @@ class DemandTrace:
     read-only, so traces can be shared between simulations safely.
     """
 
-    __slots__ = ("_values", "name")
+    __slots__ = ("_values", "name", "_cv")
 
     def __init__(self, values: Iterable[int], name: str = "") -> None:
         array = np.array(values, copy=True)
@@ -44,6 +44,7 @@ class DemandTrace:
         rounded.flags.writeable = False
         self._values = rounded
         self.name = name
+        self._cv: "float | None" = None
 
     # ------------------------------------------------------------------
     # Container behaviour
@@ -103,11 +104,13 @@ class DemandTrace:
 
         A trace of all zeros has undefined σ/μ; we report ``inf`` (it is
         maximally pointless to reserve for, like an extremely bursty user).
+        Computed once: the values never change, and every sweep reports
+        each user's σ/μ.
         """
-        mean = self.mean
-        if mean == 0:
-            return float("inf")
-        return self.std / mean
+        if self._cv is None:
+            mean = self.mean
+            self._cv = float("inf") if mean == 0 else self.std / mean
+        return self._cv
 
     @property
     def peak(self) -> int:

@@ -95,8 +95,8 @@ def random_case(rng, horizon=64):
 
 
 class TestEngineEquivalence:
-    """The array engine is a transliteration; it must agree with the
-    object-model simulator sale-for-sale and dollar-for-dollar."""
+    """The array engine must agree with the object-model simulator
+    sale-for-sale and dollar-for-dollar."""
 
     @pytest.mark.parametrize("phi", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("seed", range(6))

@@ -132,7 +132,7 @@ class TestThresholdBoundaries:
         )
         return CostModel(plan=plan, selling_discount=0.5)
 
-    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 1000.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 1000.0, 1e308])
     def test_threshold_scales_bit_identical(self, boundary_model, scale):
         demands, reservations = random_population(20, start_seed=300)
         for phi in PHIS:

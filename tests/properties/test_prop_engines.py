@@ -1,6 +1,6 @@
 """Property-based equivalence of the two simulation engines.
 
-The vectorised Algorithm-1 transliteration and the object-model
+The array engine (``run_fast``) and the object-model
 simulator must agree on every (demands, reservations, phi, fee mode)
 input — same sales, same dollars, component by component.
 """
@@ -27,14 +27,42 @@ PLAN = PricingPlan(
 )
 
 
-def cases():
-    demands = st.lists(
-        st.integers(min_value=0, max_value=5), min_size=HORIZON, max_size=HORIZON
+@st.composite
+def cases(draw):
+    """Up to 3 reservations an hour; about one case in four also holds
+    one to three batches of 4-30 under demand of up to 35, where sales
+    within a batch shift the later instances' thresholds by two."""
+    large = draw(st.integers(min_value=0, max_value=3)) == 0
+    demands = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=35 if large else 5),
+            min_size=HORIZON,
+            max_size=HORIZON,
+        )
     )
-    reservations = st.lists(
-        st.integers(min_value=0, max_value=3), min_size=HORIZON, max_size=HORIZON
+    reservations = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=3), min_size=HORIZON, max_size=HORIZON
+        )
     )
-    return st.tuples(demands, reservations)
+    if large:
+        batches = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=HORIZON - 1),
+                    st.integers(min_value=4, max_value=30),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        for hour, size in batches:
+            reservations[hour] = size
+    return demands, reservations
+
+
+def sale_pairs(sales):
+    return sorted((sale.hour, sale.working_hours) for sale in sales)
 
 
 @given(
@@ -51,7 +79,7 @@ def test_online_engines_agree(case, phi, a, fee_mode):
     fast = run_fast(demands, reservations, model, phi=phi)
     assert slow.breakdown.approx_equal(fast.breakdown)
     assert slow.instances_sold == fast.instances_sold
-    assert sorted(s.hour for s in slow.sales) == sorted(s.hour for s in fast.sales)
+    assert sale_pairs(slow.sales) == sale_pairs(fast.sales)
 
 
 @given(case=cases(), phi=st.sampled_from([0.25, 0.5, 0.75]))
@@ -71,3 +99,4 @@ def test_benchmark_engines_agree(case, phi):
     )
     assert all_slow.breakdown.approx_equal(all_fast.breakdown)
     assert all_slow.instances_sold == all_fast.instances_sold
+    assert sale_pairs(all_slow.sales) == sale_pairs(all_fast.sales)
