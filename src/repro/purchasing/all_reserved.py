@@ -4,6 +4,10 @@
 demand exceeds the active reserved pool, the gap is reserved immediately.
 Imitates users with stable demands — and, on fluctuating demands,
 produces exactly the over-reservation the selling algorithms monetise.
+
+The rule tops the pool up to the demand every hour, so the schedule is
+:func:`~repro.purchasing.base.top_up_schedule` of the demand itself: one
+running maximum per period instead of a pool update per hour.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import numpy as np
 
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
-    ActiveReservationTracker,
     PurchasingAlgorithm,
     demands_array,
+    top_up_schedule,
     validated_schedule,
 )
 
@@ -26,13 +30,6 @@ class AllReserved(PurchasingAlgorithm):
 
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:
         trace, values = demands_array(demands, plan)
-        horizon = len(trace)
-        tracker = ActiveReservationTracker(plan.period_hours)
-        n = np.zeros(horizon, dtype=np.int64)
-        for hour in range(horizon):
-            tracker.advance_to(hour)
-            gap = int(values[hour]) - tracker.active
-            if gap > 0:
-                n[hour] = gap
-                tracker.reserve(hour, gap)
-        return validated_schedule(n, horizon)
+        return validated_schedule(
+            top_up_schedule(values, plan.period_hours), len(trace)
+        )

@@ -16,6 +16,22 @@ hours over a sliding window of one reservation period; once they reach
 instance is reserved for that level. ``threshold_fraction = 1`` is the
 classic deterministic break-even rule; smaller fractions give the
 aggressive variant.
+
+The schedule visits only the (hour, level) pairs that can matter, and
+is exactly the hour-by-hour rule's:
+
+* A level reaches its trigger only if at least ``trigger`` hours of the
+  horizon have demand above it, so levels at or above ``L``, the
+  ``trigger``-th largest demand, never fire and are never tracked.
+* A window is read only right after an append at the same hour, so
+  hours with no uncovered level change nothing and are skipped. The
+  active count changes only at a reservation or an expiry; between two
+  such events one vector search finds every hour whose capped demand
+  ``min(d, L)`` exceeds it.
+* A reservation made inside such a segment only raises the count, so
+  later candidates it covers are skipped. Its own expiry can fall inside
+  the segment, when no earlier reservation is pending, and then ends
+  the segment.
 """
 
 from __future__ import annotations
@@ -28,7 +44,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
-    ActiveReservationTracker,
     PurchasingAlgorithm,
     demands_array,
     validated_schedule,
@@ -75,32 +90,43 @@ class OnlineBreakEven(PurchasingAlgorithm):
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:
         trace, values = demands_array(demands, plan)
         horizon = len(trace)
-        window = self.window_hours or plan.period_hours
+        period = plan.period_hours
+        window = self.window_hours or period
         trigger = self.trigger_hours(plan)
-        tracker = ActiveReservationTracker(plan.period_hours)
-        # Per concurrency level: recent on-demand hours (sliding window).
-        histories: list[deque[int]] = []
         n = np.zeros(horizon, dtype=np.int64)
-        for hour in range(horizon):
-            tracker.advance_to(hour)
-            demand = int(values[hour])
-            covered = tracker.active
-            if demand > len(histories):
-                histories.extend(
-                    deque() for _ in range(demand - len(histories))
-                )
-            new_reservations = 0
-            for level in range(covered, demand):  # uncovered levels, 0-based
-                history = histories[level]
-                history.append(hour)
-                while history and history[0] <= hour - window:
-                    history.popleft()
-                if len(history) >= trigger:
-                    new_reservations += 1
-                    history.clear()
-            if new_reservations:
-                n[hour] = new_reservations
-                tracker.reserve(hour, new_reservations)
+        if trigger > horizon:
+            return validated_schedule(n, horizon)
+        ceiling = int(np.partition(values, horizon - trigger)[horizon - trigger])
+        capped = np.minimum(values, ceiling)
+        # Per tracked level: recent on-demand hours (sliding window).
+        histories: list[deque[int]] = [deque() for _ in range(ceiling)]
+        expiries: deque[tuple[int, int]] = deque()  # (expiry hour, count)
+        active = 0
+        hour = 0
+        while hour < horizon:
+            while expiries and expiries[0][0] <= hour:
+                active -= expiries.popleft()[1]
+            end = expiries[0][0] if expiries else horizon
+            segment = capped[hour:end]
+            uncovered = np.flatnonzero(segment > active)
+            for t, top in zip((uncovered + hour).tolist(), segment[uncovered].tolist()):
+                if t >= end:
+                    break
+                new_reservations = 0
+                for level in range(active, top):
+                    history = histories[level]
+                    history.append(t)
+                    while history[0] <= t - window:
+                        history.popleft()
+                    if len(history) >= trigger:
+                        new_reservations += 1
+                        history.clear()
+                if new_reservations:
+                    n[t] = new_reservations
+                    active += new_reservations
+                    expiries.append((t + period, new_reservations))
+                    end = min(end, t + period)
+            hour = end
         return validated_schedule(n, horizon)
 
 

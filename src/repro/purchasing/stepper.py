@@ -60,15 +60,14 @@ class OnDemandOnlyStepper(PurchasingStepper):
 class RandomReservationStepper(PurchasingStepper):
     """Top the pool up toward a random target ≤ demand."""
 
-    def __init__(self, seed: int = 0, reservation_probability: float = 1.0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self._probability = reservation_probability
 
     def step(self, hour: int, demand: int, active: int) -> int:
         if demand == 0:
             return 0
-        if self._rng.random() >= self._probability:
-            return 0
+        # Drawn and unused, as in the batch schedule's stream.
+        self._rng.random()
         target = int(self._rng.integers(0, demand + 1))
         return max(0, target - active)
 
@@ -116,10 +115,7 @@ def stepper_for(
     if isinstance(algorithm, OnDemandOnly):
         return OnDemandOnlyStepper()
     if isinstance(algorithm, RandomReservation):
-        return RandomReservationStepper(
-            seed=algorithm.seed,
-            reservation_probability=algorithm.reservation_probability,
-        )
+        return RandomReservationStepper(seed=algorithm.seed)
     if isinstance(algorithm, OnlineBreakEven):
         return BreakEvenStepper(
             plan,

@@ -67,18 +67,6 @@ class TestRandomReservation:
         second = RandomReservation(seed=4).schedule(demands, toy_plan)
         assert not np.array_equal(first, second)
 
-    def test_probability_throttles(self, toy_plan):
-        demands = DemandTrace([5] * 32)
-        eager = RandomReservation(seed=0, reservation_probability=1.0)
-        lazy = RandomReservation(seed=0, reservation_probability=0.05)
-        assert lazy.schedule(demands, toy_plan).sum() <= eager.schedule(
-            demands, toy_plan
-        ).sum()
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RandomReservation(reservation_probability=0.0)
-
 
 class TestOnlineBreakEven:
     def test_sustained_demand_triggers_reservation(self, scaled_plan):

@@ -64,6 +64,15 @@ class TestHelpers:
         with pytest.raises(SimulationError):
             validated_schedule(np.array([1, -1]), horizon=2)
 
+    @pytest.mark.parametrize(
+        "n",
+        [np.array([0, 2**63], dtype=np.uint64), np.array([1, 0.5], dtype=object)],
+        ids=["uint64-past-int64", "object"],
+    )
+    def test_validated_schedule_refuses_what_int64_cannot_hold(self, n):
+        with pytest.raises(SimulationError):
+            validated_schedule(n, horizon=2)
+
     def test_demands_array_coerces(self, toy_plan):
         trace, values = demands_array([1, 2, 3], toy_plan)
         assert isinstance(trace, DemandTrace)

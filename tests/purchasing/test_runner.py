@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.purchasing.all_reserved import AllReserved
+from repro.purchasing.base import PurchasingAlgorithm
 from repro.purchasing.runner import ReservationSchedule, imitate, paper_imitators
 from repro.workload.base import DemandTrace
 
@@ -29,6 +31,17 @@ class TestImitate:
         schedule = imitate([3] + [0] * 11, toy_plan, AllReserved())
         active = schedule.reservation_hours()
         assert active[0] == 3 and active[7] == 3 and active[8] == 0
+
+    @pytest.mark.parametrize("count", [0.5, np.nan, np.inf, 1e30])
+    def test_refuses_counts_that_are_not_int64_instance_counts(self, toy_plan, count):
+        class Custom(PurchasingAlgorithm):
+            def schedule(self, demands, plan):
+                n = np.ones(len(demands))
+                n[3] = count
+                return n
+
+        with pytest.raises(SimulationError):
+            imitate([2] * 10, toy_plan, Custom())
 
 
 class TestPaperImitators:

@@ -14,6 +14,7 @@ from repro.purchasing.online_breakeven import (
 from repro.purchasing.random_reservation import RandomReservation
 from repro.purchasing.stepper import BreakEvenStepper, stepper_for
 from repro.workload.base import DemandTrace
+from tests.purchasing.test_event_driven import CORPUS
 
 
 def drive_stepper(stepper, demands, plan):
@@ -36,7 +37,9 @@ def bursty_trace(rng):
 
 class TestStepperEquivalence:
     """Against a keep-everything pool, the stepper must reproduce the
-    batch ``schedule()`` output of its algorithm exactly."""
+    batch ``schedule()`` output of its algorithm exactly. The batch
+    schedules equal the hour-by-hour references on the event-driven
+    corpus, so on it all three agree."""
 
     @pytest.mark.parametrize(
         "algorithm",
@@ -55,6 +58,19 @@ class TestStepperEquivalence:
             stepper_for(algorithm, scaled_plan), bursty_trace, scaled_plan
         )
         assert np.array_equal(batch, stepped)
+
+    def test_matches_batch_schedule_on_the_event_driven_corpus(self):
+        mismatched = [
+            case.seed
+            for case in CORPUS
+            if not np.array_equal(
+                case.algorithm.schedule(case.demands, case.plan),
+                drive_stepper(
+                    stepper_for(case.algorithm, case.plan), case.demands, case.plan
+                ),
+            )
+        ]
+        assert mismatched == []
 
 
 class TestStepperBehaviour:
