@@ -1,57 +1,72 @@
-"""Population-tensor engine: one policy over every user in one pass.
+"""The batch engine of Algorithm 1/2: one policy over ``(users × hours)`` rows.
 
-:func:`repro.core.fastsim.run_fast` decides Algorithm 1/2 for *one*
-user, with a Python loop over that user's reservation batches; sweeping
-a population through it costs one call per user and policy (about 100
-users/s, six policies each, on the paper preset's 17,520-hour horizon in
-``perfbench``'s ``sweep-user`` on a 2-core x86-64 host), too slow for
-millions of users. This module runs the same decision rule over a whole
-``(users × hours)`` demand/reservation tensor with numpy doing the user
-dimension, and is proven **bit-identical** to ``run_fast`` per user
-(``tests/core/test_popsim.py`` sweeps ≥40 seeds × 3 φ × 3 policy kinds).
+This is the only batch engine. :func:`run_population` runs it over a
+population block, and :func:`repro.core.fastsim.run_fast` is a thin
+frontend that hands it one user's row and builds its per-sale records
+from what :func:`run_block` returns. For both, the engine checks the
+arguments, takes the reservation prefix and the active timeline from one
+:class:`PopulationPrecompute`, decides the batches, draws and prices
+clearing, runs the cancellation post-pass and prices the costs.
 
-Why the rule vectorises across users
-------------------------------------
+The rule — the ``l`` running sum, the freeness test
+``r_j − d_j − i + 1 > l_j`` and the history/future ``r_k`` decrements on
+sale — runs on arrays, with no instance objects, and three exact
+collapses make its cost follow the batches, not the hours or instances:
 
-Users never interact, so the only obstacle is the *within*-user
-sequential structure: each decision batch rewrites history
-(``r_effective[t0:end] -= 1`` per sale), which feeds later windows. Two
-observations collapse it:
+1. Only decision hours ``t0 + φT`` with ``n[t0] > 0`` inside the horizon
+   are visited; no other hour of the pseudocode's loop decides anything.
+2. A rewrite of the schedule ``n_k`` only touches ``n[t0]``, at hour
+   ``t0 + φT``: after every earlier window has closed and before any
+   later one reads below its own ``t0' + 1``. So ``l`` always reads the
+   original ``n`` and one prefix sum serves the run: the engine keeps
+   ``expression = r_eff − d − prefix[1:]``, and window ``t0``'s slack
+   ``c = r_eff − d − l`` is ``expression + prefix[t0 + 1]``.
+3. While every earlier instance of a batch has sold, instance ``i`` sees
+   ``r_eff`` lowered by ``i − 1``: it is free at hour ``k`` iff
+   ``c_k > 2(i − 1)`` and works ``#{c ≤ 2(i − 1)}`` hours. Working time
+   never falls within a batch (a kept instance leaves ``r_eff`` alone, a
+   sale lowers it), so the sales are the leading run passing
+   ``working < scale·β`` and history is rewritten once per batch.
 
-1. History rewrites are strictly per-user: a sale of user ``u`` only
-   edits row ``u``. The only ordering that matters is each user's *own*
-   windows in ascending ``t0`` — exactly the order the per-user loop
-   visits them. So the engine runs in *rounds*: round ``j`` handles
-   every user's ``j``-th reservation event at once (different ``t0``
-   per row, gathered with one fancy index), reads the current
-   ``r_effective`` tensor, and applies the row-local rewrites before
-   round ``j+1``. The loop length becomes the maximum events per user,
-   not the number of distinct decision hours.
-2. Within one window the batch loop (the pseudocode's ``i = 1..n_t``)
-   reduces to an order statistic (``run_fast`` decides its batches by
-   the same fact, one sorted window at a time). With
-   ``c_k = r_eff_k − d_k − l_k`` over the window, instance ``i`` (with
-   ``s`` sales so far in the batch) is free at hour ``k`` iff
-   ``c_k > i − 1 + s``, so its working time is ``φT − F(i − 1 + s)``
-   where ``F(m) = #{k : c_k > m}`` is non-increasing in ``m``. Working
-   time is therefore non-decreasing over the batch: once one instance
-   is kept, every later instance is kept too, and the number sold is
-   determined by the ``j0``-th largest value of ``c`` alone (``j0`` =
-   the smallest free-hour count that still sells, a run-level
-   constant). One ``np.partition`` per window replaces the per-instance
-   loop — for every user at once.
+The decision step is chosen by row count. **One row** loops over its
+batches: each sorts its window of ``expression``, one ``searchsorted``
+of the shifted thresholds ``2(i − 1) − prefix[t0 + 1]`` gives every
+instance's working time — the only step that yields them, and
+``run_fast``'s records carry them — and rewrites go by slices. **Many
+rows** run in *rounds*: users never interact, so round ``j`` decides
+every user's ``j``-th batch at once (one fancy-index gather), and the
+number sold follows from one order statistic of the window (the
+``j0``-th largest slack, ``j0`` the smallest free-hour count that still
+sells): one ``np.partition`` per round, and no window at all for
+All-Selling. One row keeps its loop because the rounds cost more on a
+single user: on ``perfbench``'s ``sweep-user`` (30 paper-preset users ×
+7 policies, 17,520 hours, one row per call, 2-core x86-64 host)
+``run_fast`` on the rounds alone measured ``latency_norm`` 30.9 and 33.6
+against 22.7 and 24.0, and the loop with a 2-D difference-array
+settlement +19%. The loop with slice rewrites and one prefix sum per
+call measured 20.4 against 23.1 for the previous per-user engine
+(medians of 10 alternating pairs): about 160 users/s, seven policies
+each.
 
-Float identity: β, ``scale·β``, the per-sale income and the cost-model
-products are computed with exactly the expressions ``run_fast`` uses,
-and the sale-income accumulator is reproduced by a sequential-sum table
-(``k`` sales = ``k`` repeated ``+=``, not ``k·income``), so costs match
-bitwise, not approximately.
+The pseudocode-literal loop is the test reference
+(``tests/core/fastsim_reference.py``): every ``run_fast`` field must
+equal it bit for bit, and per user ``run_population`` must equal
+``run_fast`` (``tests/core/test_popsim.py``); the object-model
+:class:`~repro.core.simulator.SellingSimulator` stays the readable
+oracle. Sale income is always a sequence of ``+=`` (a sequential-sum
+table under instant sales, a clear-hour-ordered loop under clearing),
+never ``k·income`` or a pairwise reduction. A sale at decision hour
+``t`` takes effect at the start of ``t`` (the pseudocode decrements from
+``t + 1``; see DESIGN.md §4), matching Eq. (15): the instance serves
+nothing after the spot.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +77,13 @@ from repro.core.breakeven import (
     validate_phi,
     validate_threshold_scale,
 )
-from repro.core.cancellation import CancellationModel, SoldUnit, apply_rebuys
+from repro.core.cancellation import (
+    CancellationModel,
+    Rebuy,
+    SoldUnit,
+    apply_rebuys,
+)
 from repro.core.clearing import ClearingModel
-from repro.core.fastsim import FastPolicyKind
 from repro.core.policies import RandomizedSellingPolicy
 from repro.errors import SimulationError
 
@@ -72,6 +91,14 @@ from repro.errors import SimulationError
 #: helpers (bounds peak memory at roughly ``4 × block × horizon × 8``
 #: bytes of working set regardless of population size).
 DEFAULT_BLOCK_USERS = 4096
+
+
+class FastPolicyKind(enum.Enum):
+    """The decision rules the batch engine supports."""
+
+    ONLINE = "online"  # Algorithm 1/2: sell iff working time < beta
+    ALL_SELLING = "all-selling"  # benchmark: always sell at the spot
+    KEEP_RESERVED = "keep-reserved"  # benchmark: never sell
 
 
 @dataclass(frozen=True)
@@ -133,12 +160,18 @@ class PopulationResult:
     def concatenate(
         cls, results: "list[PopulationResult]"
     ) -> "PopulationResult":
-        """Stitch block results (same policy) back into one population."""
+        """Stitch block results (same policy) back into one population.
+
+        Randomized blocks all carry ``phi = NaN`` and count as one run.
+        """
         if not results:
             raise SimulationError("cannot concatenate zero population results")
         first = results[0]
         for other in results[1:]:
-            if other.kind is not first.kind or other.phi != first.phi:
+            same_phi = other.phi == first.phi or (
+                math.isnan(other.phi) and math.isnan(first.phi)
+            )
+            if other.kind is not first.kind or not same_phi:
                 raise SimulationError(
                     "population blocks ran different policies: "
                     f"{(first.kind, first.phi)} vs {(other.kind, other.phi)}"
@@ -172,19 +205,22 @@ class PopulationResult:
 
 
 class PopulationPrecompute:
-    """Validated tensors plus the policy-independent intermediates.
+    """Checked tensors plus the policy-independent timelines.
 
-    ``run_population`` derives the active-instance timeline and the
-    reservation prefix sum from ``(demands, reservations, period)``
-    alone — nothing about φ, the policy kind, or the threshold scale
-    enters them. A sweep runs ~7 policies over the *same* block, so
-    :func:`prepare_population` lets callers validate once and share
-    those tensors across every policy run of the block. All held arrays
-    are treated as read-only by the engine (sale rewrites always go to
-    fresh per-run arrays), which is what keeps sharing bit-safe.
+    The reservation prefix ``[0, cumsum(n)]`` and the active-reservation
+    timeline (each ``n[u, h]`` covers ``[h, h + T)``, so ``active[u, h]
+    = prefix[u, h + 1] − prefix[u, max(h + 1 − T, 0)]``) depend on
+    ``(demands, reservations, period)`` alone — nothing about φ, the
+    policy kind or the threshold scale enters them. A sweep runs ~7
+    policies over the *same* block, so :func:`prepare_population` lets
+    callers check once and share both across every policy run of the
+    block. The engine treats every held array as read-only (sale
+    rewrites always go to fresh per-run arrays), which is what keeps
+    sharing bit-safe. The constructor takes already-checked ``int64``
+    arrays.
     """
 
-    __slots__ = ("demands", "reservations", "period", "active", "_prefix")
+    __slots__ = ("demands", "reservations", "period", "reservation_prefix", "active")
 
     def __init__(
         self, demands: np.ndarray, reservations: np.ndarray, period: int
@@ -192,20 +228,16 @@ class PopulationPrecompute:
         self.demands = demands
         self.reservations = reservations
         self.period = period
-        self.active = _active_timeline(reservations, period)
-        self._prefix: "np.ndarray | None" = None
-
-    @property
-    def reservation_prefix(self) -> np.ndarray:
-        """``[0, cumsum(n)]`` per row — built lazily: only the windowed
-        online path reads it (KEEP / All-Selling runs never pay for it)."""
-        if self._prefix is None:
-            n = self.reservations
-            self._prefix = np.concatenate(
-                [np.zeros((n.shape[0], 1), dtype=np.int64), np.cumsum(n, axis=1)],
-                axis=1,
-            )
-        return self._prefix
+        users, horizon = reservations.shape
+        prefix = np.zeros((users, horizon + 1), dtype=np.int64)
+        np.cumsum(reservations, axis=1, out=prefix[:, 1:])
+        active = prefix[:, 1:].copy()
+        if period < horizon:
+            # Reservations expiring inside the horizon stop contributing
+            # at h + T; later ones run off the end.
+            active[:, period:] -= prefix[:, 1 : horizon - period + 1]
+        self.reservation_prefix = prefix
+        self.active = active
 
 
 def prepare_population(
@@ -228,28 +260,58 @@ def prepare_population(
     return PopulationPrecompute(d, n, period)
 
 
-def _active_timeline(reservations: np.ndarray, period: int) -> np.ndarray:
-    """Active-reservation tensor: each ``n[u, h]`` covers ``[h, h+T)``.
+class _Decisions(NamedTuple):
+    """What a decision step hands to the settlement."""
 
-    Built with a difference array + row cumsum instead of a per-user
-    loop over reservation hours.
+    total_sold: np.ndarray  # (U,) sales per user
+    #: Per-sale ``(row, t0)`` events grouped by row, each user's in
+    #: decision order (ascending ``t0``, then batch index); empty when
+    #: neither the settlement nor the records need them.
+    rows: np.ndarray
+    t0: np.ndarray
+    #: The physical timeline after instant sales (``precomputed.active``
+    #: itself under clearing, which moves it at the clear hours instead).
+    r_physical: np.ndarray  # (U, H)
+    #: Each sale's working hours; only the one-row step computes them.
+    working: np.ndarray
+
+
+class Listings(NamedTuple):
+    """Per-listing clearing outcomes, aligned with the sale events."""
+
+    delay: np.ndarray  # drawn open hours; ``window`` = never clears
+    clear_at: np.ndarray  # listing hour + delay (meaningful when cleared)
+    cleared: np.ndarray  # bool — cleared inside the horizon
+    expired: np.ndarray  # bool — window closed unsold inside the horizon
+    income: np.ndarray  # float64 — booked income, 0.0 unless cleared
+
+
+@dataclass(frozen=True)
+class RowRecords:
+    """One row's per-sale records, for :func:`repro.core.fastsim.run_fast`.
+
+    Sales are in decision order (ascending ``reserved_at``, then batch
+    index); under clearing ``listings`` holds one entry per sale in the
+    same order. The timelines may view the block's
+    :class:`PopulationPrecompute`, which ``run_fast`` builds per call.
     """
-    horizon = reservations.shape[1]
-    delta = reservations.copy()
-    if period < horizon:
-        # Reservations expiring inside the horizon stop contributing at
-        # h + T; later ones run off the end and need no terminator.
-        delta[:, period:] -= reservations[:, : horizon - period]
-    return np.cumsum(delta, axis=1)
+
+    decision_age: int
+    sale_t0: np.ndarray  # (S,) int64 — each sale's reservation hour
+    working_hours: np.ndarray  # (S,) int64
+    listings: "Listings | None"
+    rebuys: "tuple[Rebuy, ...]"
+    r_physical: np.ndarray  # (H,) int64
+    on_demand: np.ndarray  # (H,) int64 — hourly on-demand instances
 
 
 def _sequential_income_table(per_sale_income: float, max_sales: int) -> np.ndarray:
     """``table[k]`` = ``k`` repeated float ``+=`` of ``per_sale_income``.
 
-    ``run_fast`` accumulates sale income with one addition per sale;
-    ``k · income`` rounds differently in the last ulp, so the exact
-    running sums are tabulated instead (``max_sales`` is small: it is
-    bounded by the largest per-user reservation total).
+    ``k · income`` rounds differently in the last ulp from booking one
+    sale at a time, so the exact running sums are tabulated instead
+    (``max_sales`` is small: it is bounded by the largest per-user
+    reservation total).
     """
     table = np.empty(max_sales + 1, dtype=np.float64)
     acc = 0.0
@@ -259,45 +321,210 @@ def _sequential_income_table(per_sale_income: float, max_sales: int) -> np.ndarr
     return table
 
 
+def _row_groups(rows: np.ndarray) -> "list[tuple[int, int]]":
+    """``(start, stop)`` of each run of equal rows in a row-grouped array."""
+    bounds = (np.flatnonzero(np.diff(rows)) + 1).tolist()
+    return list(zip([0, *bounds], [*bounds, rows.size])) if rows.size else []
+
+
+def _decide_row(
+    precomputed: PopulationPrecompute,
+    decision_age: int,
+    threshold: float,
+    instant: bool,
+) -> _Decisions:
+    """One row: decide each batch from its sorted window of ``expression``.
+
+    ``threshold`` is ``scale·β`` for ONLINE and ``inf`` for All-Selling,
+    so ``count_nonzero(working < threshold)`` is the number sold either
+    way. Under ``instant`` sales the physical timeline is rewritten by
+    slices as the loop goes.
+    """
+    d = precomputed.demands[0]
+    n = precomputed.reservations[0]
+    prefix = precomputed.reservation_prefix[0]
+    period = precomputed.period
+    horizon = d.size
+    expression = precomputed.active[0] - d - prefix[1:]
+    r_physical = precomputed.active.copy() if instant else precomputed.active
+    serving = r_physical[0]
+    sale_t0: "list[int]" = []
+    working_parts = [np.zeros(0, dtype=np.int64)]
+    for t0 in np.flatnonzero(n[: max(horizon - decision_age, 0)]).tolist():
+        t = t0 + decision_age
+        working = np.searchsorted(
+            np.sort(expression[t0:t]),
+            2 * np.arange(n[t0]) - prefix[t0 + 1],
+            side="right",
+        )
+        sold = int(np.count_nonzero(working < threshold))
+        if sold == 0:
+            continue
+        expression[t0 : t0 + period] -= sold  # history rewrite (lines 17-21)
+        if instant:
+            serving[t : t0 + period] -= sold  # future: the units stop serving
+        sale_t0.extend([t0] * sold)
+        working_parts.append(working[:sold])
+    total = len(sale_t0)
+    return _Decisions(
+        total_sold=np.array([total], dtype=np.int64),
+        rows=np.zeros(total, dtype=np.int64),
+        t0=np.array(sale_t0, dtype=np.int64),
+        r_physical=r_physical,
+        working=np.concatenate(working_parts),
+    )
+
+
+def _decide_rounds(
+    precomputed: PopulationPrecompute,
+    decision_age: int,
+    threshold: float,
+    instant: bool,
+    collect_events: bool,
+) -> _Decisions:
+    """Many rows: round ``j`` decides every user's ``j``-th batch at once.
+
+    The per-sale events are collected only when ``collect_events``;
+    under ``instant`` sales the physical timeline gathers every sale in
+    a difference array, applied with one cumsum at the end.
+    """
+    d = precomputed.demands
+    n = precomputed.reservations
+    period = precomputed.period
+    users, horizon = d.shape
+    r_physical = precomputed.active
+    total_sold = np.zeros(users, dtype=np.int64)
+    # Sales' effect on the active-instance timeline, as a difference
+    # array (one extra column swallows end == horizon).
+    sale_delta: "np.ndarray | None" = None
+    rows_parts: "list[np.ndarray]" = []
+    t0_parts: "list[np.ndarray]" = []
+    if math.isfinite(threshold):
+        # Largest integer working time that still sells under the strict
+        # ``working < scale·β`` test (exact: ceil on floats), then the
+        # smallest free-hour count F that sells (working = φT − F).
+        min_selling_free = decision_age - (math.ceil(threshold) - 1)
+    else:
+        # All-Selling sells regardless of the free-hour count, and so
+        # does ONLINE when a large finite scale overflows scale·β.
+        min_selling_free = 0
+
+    # Batches whose decision hour lands inside the horizon
+    # (t0 < horizon − φT), in row-major = per-user ascending order.
+    event_rows, event_t0 = np.nonzero(n[:, : max(horizon - decision_age, 0)])
+    if event_rows.size == 0 or min_selling_free > decision_age:
+        # No batches, or even a fully idle window (F = φT) keeps.
+        pass
+    elif min_selling_free <= 0:
+        # Every instance of every batch sells — no window needs reading,
+        # the whole run is closed-form.
+        counts = n[event_rows, event_t0]
+        np.add.at(total_sold, event_rows, counts)
+        if instant:
+            sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
+            np.subtract.at(sale_delta, (event_rows, event_t0 + decision_age), counts)
+            np.add.at(
+                sale_delta,
+                (event_rows, np.minimum(event_t0 + period, horizon)),
+                counts,
+            )
+        if collect_events:
+            rows_parts.append(np.repeat(event_rows, counts))
+            t0_parts.append(np.repeat(event_t0, counts))
+    else:
+        if instant:
+            sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
+        n_prefix = precomputed.reservation_prefix
+        # The window's slack is expression + n_prefix[u, t0 + 1], a
+        # per-row constant that commutes with taking an order statistic,
+        # so it is added to the *pivot* after the partition and only one
+        # tensor gather is needed per round.
+        expression = r_physical - d - n_prefix[:, 1:]
+        events_per_user = np.bincount(event_rows, minlength=users)
+        event_start = np.concatenate(([0], np.cumsum(events_per_user)))
+        # j0-th largest slack value per user: the pivot deciding how
+        # many batch instances clear the break-even test.
+        pivot_column = decision_age - min_selling_free
+        window_offsets = np.arange(decision_age)
+        for round_index in range(int(events_per_user.max(initial=0))):
+            rows = np.flatnonzero(events_per_user > round_index)
+            t0 = event_t0[event_start[rows] + round_index]
+            cols = t0[:, None] + window_offsets
+            window = expression[rows[:, None], cols]
+            pivot = (
+                np.partition(window, pivot_column, axis=1)[:, pivot_column]
+                + n_prefix[rows, t0 + 1]
+            )
+            batch_sizes = n[rows, t0]
+            # Selling i instances needs c_(j0) > 2(i−1): each sale both
+            # advances the batch index and rewrites history.
+            sold = np.where(
+                pivot >= 1,
+                np.minimum(batch_sizes, (pivot - 1) // 2 + 1),
+                0,
+            )
+            sellers = np.flatnonzero(sold > 0)
+            if sellers.size == 0:
+                continue
+            sell_rows = rows[sellers]
+            sell_t0 = t0[sellers]
+            sell_counts = sold[sellers]
+            sell_end = np.minimum(sell_t0 + period, horizon)
+            if sale_delta is not None:
+                # One row per seller within a round: plain fancy
+                # assignment is safe (no duplicate indices).
+                sale_delta[sell_rows, sell_t0 + decision_age] -= sell_counts
+                sale_delta[sell_rows, sell_end] += sell_counts
+            if collect_events:
+                rows_parts.append(np.repeat(sell_rows, sell_counts))
+                t0_parts.append(np.repeat(sell_t0, sell_counts))
+            total_sold[sell_rows] += sell_counts
+            for row, start, stop, count in zip(
+                sell_rows.tolist(),
+                sell_t0.tolist(),
+                sell_end.tolist(),
+                sell_counts.tolist(),
+            ):
+                expression[row, start:stop] -= count
+
+    if sale_delta is not None and total_sold.any():
+        r_physical = r_physical + np.cumsum(sale_delta, axis=1)[:, :horizon]
+    if rows_parts:
+        # Rounds interleave users; a stable row sort restores each
+        # user's (t0, batch) order.
+        rows_all = np.concatenate(rows_parts)
+        t0_all = np.concatenate(t0_parts)
+        order = np.argsort(rows_all, kind="stable")
+        rows_all, t0_all = rows_all[order], t0_all[order]
+    else:
+        rows_all = t0_all = np.zeros(0, dtype=np.int64)
+    no_hours = np.zeros(0, dtype=np.int64)
+    return _Decisions(total_sold, rows_all, t0_all, r_physical, no_hours)
+
+
 def _apply_clearing(
     clearing: ClearingModel,
     clearing_keys: "list[object]",
     model: CostModel,
-    sale_rows: np.ndarray,
-    sale_t0: np.ndarray,
+    decisions: _Decisions,
     decision_age: int,
-    period: int,
     horizon: int,
-    users: int,
-    sale_delta: np.ndarray,
-) -> (
-    "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, "
-    "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]"
-):
-    """Vectorised clearing over the collected per-sale events.
+) -> "tuple[Listings, np.ndarray, np.ndarray]":
+    """Open one listing per sale, draw its delay and price its clearing.
 
-    ``sale_rows``/``sale_t0`` carry one entry per SELL decision in the
-    engine's emission order — per user that is ascending ``t0`` and
-    ascending batch index, exactly the order ``run_fast`` draws its
-    scalar uniforms in. Grouping with a *stable* argsort therefore
-    preserves each user's draw order, and because
-    ``Generator.random(size=k)`` consumes the stream identically to
-    ``k`` scalar draws, the delays match the per-user engine draw for
-    draw. Returns per-user ``(income, cleared, expired, open)`` plus the
-    per-sale event arrays ``(rows, t0, clear_at, cleared)`` sorted by
-    row (each user's listings in decision order — what the cancellation
-    post-pass ranks by), and writes the physical-timeline clear events
-    into ``sale_delta``.
+    The sales arrive grouped by row in each user's decision order — the
+    order the draws are consumed in — and ``Generator.random(size=k)``
+    consumes a stream exactly as ``k`` scalar draws do
+    (``tests/core/test_clearing.py`` pins this). Returns the listings,
+    each user's income (summed in clear-hour order), and the physical
+    timeline with every cleared unit leaving at its clear hour.
     """
+    period = model.period
+    users = decisions.total_sold.size
     profile = clearing.profile(model.selling_discount, period, decision_age)
-    order = np.argsort(sale_rows, kind="stable")
-    rows = sale_rows[order]
-    t0 = sale_t0[order]
+    rows, t0 = decisions.rows, decisions.t0
     uniforms = np.empty(rows.size, dtype=np.float64)
-    boundaries = np.flatnonzero(np.diff(rows)) + 1
-    group_starts = np.concatenate(([0], boundaries))
-    group_stops = np.concatenate((boundaries, [rows.size]))
-    for start, stop in zip(group_starts.tolist(), group_stops.tolist()):
+    for start, stop in _row_groups(rows):
         user = int(rows[start])
         uniforms[start:stop] = clearing.stream(clearing_keys[user]).random(
             stop - start
@@ -308,21 +535,22 @@ def _apply_clearing(
     has_clear_draw = delays < profile.window
     cleared = has_clear_draw & (clear_at < horizon)
     expired = ~has_clear_draw & (listed_at + profile.window < horizon)
-    still_open = ~cleared & ~expired
 
-    income = np.zeros(users, dtype=np.float64)
+    incomes = np.zeros(rows.size, dtype=np.float64)
+    user_income = np.zeros(users, dtype=np.float64)
+    r_physical = decisions.r_physical
     rows_cleared = rows[cleared]
     if rows_cleared.size:
         t0_cleared = t0[cleared]
         tc = clear_at[cleared]
-        end = np.minimum(t0_cleared + period, horizon)
-        # Duplicate (row, hour) pairs are possible — several listings of
-        # one user can clear the same hour — so the unbuffered add is
-        # required, unlike the decision-time path.
+        # A listed unit keeps serving until its clear hour. Several
+        # listings of one user can clear the same hour, so the
+        # unbuffered add is required.
+        sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
         np.add.at(sale_delta, (rows_cleared, tc), -1)
-        np.add.at(sale_delta, (rows_cleared, end), 1)
-        # Income per cleared listing, with run_fast's exact expression
-        # order ((1−fee) · a(w) · remaining · R, left to right).
+        np.add.at(sale_delta, (rows_cleared, np.minimum(t0_cleared + period, horizon)), 1)
+        r_physical = r_physical + np.cumsum(sale_delta, axis=1)[:, :horizon]
+        # (1−fee) · a(w) · remaining · R, left to right.
         clear_fraction = 1.0 - (tc - t0_cleared) / period
         values = (
             (1.0 - model.marketplace_fee)
@@ -330,29 +558,200 @@ def _apply_clearing(
             * clear_fraction
             * model.big_r
         )
-        # Accumulate per user sequentially in (clear hour, listing
-        # order): the order income is booked in streaming serving, and
-        # a plain repeated ``+=`` so the float sum matches run_fast
-        # (pairwise reductions round differently in the last ulp).
-        cleared_bounds = np.flatnonzero(np.diff(rows_cleared)) + 1
-        starts = np.concatenate(([0], cleared_bounds))
-        stops = np.concatenate((cleared_bounds, [rows_cleared.size]))
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            user = int(rows_cleared[start])
+        incomes[cleared] = values
+        # Book each user's income one ``+=`` at a time in (clear hour,
+        # listing order): the order streaming serving books it in.
+        for start, stop in _row_groups(rows_cleared):
             by_clear_hour = np.argsort(tc[start:stop], kind="stable")
             acc = 0.0
             for value in values[start:stop][by_clear_hour].tolist():
                 acc += value
-            income[user] = acc
+            user_income[int(rows_cleared[start])] = acc
+    listings = Listings(delays, clear_at, cleared, expired, incomes)
+    return listings, user_income, r_physical
 
-    cleared_counts = np.bincount(rows_cleared, minlength=users)
-    expired_counts = np.bincount(rows[expired], minlength=users)
-    open_counts = np.bincount(rows[still_open], minlength=users)
-    return income, cleared_counts, expired_counts, open_counts, (
-        rows,
-        t0,
-        clear_at,
-        cleared,
+
+def _apply_cancellation(
+    cancellation: CancellationModel,
+    model: CostModel,
+    demands: np.ndarray,
+    r_physical: np.ndarray,
+    rows: np.ndarray,
+    t0: np.ndarray,
+    watch_from: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, dict[int, tuple[Rebuy, ...]]]":
+    """The static re-buy rule over each user's sold units, in sale order.
+
+    Edits ``r_physical`` in place (the caller passes a fresh array
+    whenever units exist) and returns the per-user buy-back cost and
+    re-buy count, and each re-buying user's :class:`Rebuy` tuple.
+    """
+    period = model.period
+    users, horizon = demands.shape
+    costs = np.zeros(users, dtype=np.float64)
+    counts = np.zeros(users, dtype=np.int64)
+    rebuys: "dict[int, tuple[Rebuy, ...]]" = {}
+    for start, stop in _row_groups(rows):
+        user = int(rows[start])
+        units = [
+            SoldUnit(
+                reserved_at=reserved_at,
+                watch_from=watch,
+                term_end=min(reserved_at + period, horizon),
+            )
+            for reserved_at, watch in zip(
+                t0[start:stop].tolist(), watch_from[start:stop].tolist()
+            )
+        ]
+        outcome = apply_rebuys(
+            demands[user], r_physical[user], units, period, model, cancellation
+        )
+        if outcome.rebuys:
+            r_physical[user] = outcome.r_after
+            costs[user] = outcome.rebuy_cost
+            counts[user] = len(outcome.rebuys)
+            rebuys[user] = outcome.rebuys
+    return costs, counts, rebuys
+
+
+def run_block(
+    precomputed: PopulationPrecompute,
+    model: CostModel,
+    phi: float = 0.75,
+    kind: FastPolicyKind = FastPolicyKind.ONLINE,
+    threshold_scale: float = 1.0,
+    *,
+    clearing: "ClearingModel | None" = None,
+    clearing_keys: "list[object] | None" = None,
+    cancellation: "CancellationModel | None" = None,
+) -> "tuple[PopulationResult, RowRecords | None]":
+    """The engine behind :func:`run_population` and ``run_fast``.
+
+    Checks the policy arguments, decides every batch of the block,
+    settles clearing and cancellation and prices the costs. A one-row
+    block also returns its :class:`RowRecords`; any other returns
+    ``None`` in their place.
+    """
+    d = precomputed.demands
+    n = precomputed.reservations
+    period = precomputed.period
+    users, horizon = d.shape
+    if kind is not FastPolicyKind.KEEP_RESERVED:
+        validate_phi(phi)
+    validate_threshold_scale(threshold_scale, SimulationError)
+    if clearing is not None and not isinstance(clearing, ClearingModel):
+        raise SimulationError(
+            f"clearing must be a ClearingModel or None, got "
+            f"{type(clearing).__name__}"
+        )
+    if cancellation is not None and not isinstance(cancellation, CancellationModel):
+        raise SimulationError(
+            f"cancellation must be a CancellationModel or None, got "
+            f"{type(cancellation).__name__}"
+        )
+    resolved_keys: "list[object]" = []
+    if clearing is not None:
+        resolved_keys = (
+            list(range(users)) if clearing_keys is None else list(clearing_keys)
+        )
+        if len(resolved_keys) != users:
+            raise SimulationError(
+                f"clearing_keys must have one entry per user "
+                f"({users}), got {len(resolved_keys)}"
+            )
+
+    decision_age = round(phi * period)
+    beta = break_even_working_hours(model.plan, model.selling_discount, phi)
+    evaluate = kind is not FastPolicyKind.KEEP_RESERVED and 0 < decision_age < period
+    per_sale_income = 0.0
+    empty = np.zeros(0, dtype=np.int64)
+    decisions = _Decisions(
+        np.zeros(users, dtype=np.int64), empty, empty, precomputed.active, empty
+    )
+    if evaluate:
+        per_sale_income = model.sale_income(1.0 - decision_age / period)
+        threshold = (
+            threshold_scale * beta if kind is FastPolicyKind.ONLINE else math.inf
+        )
+        if users == 1:
+            decisions = _decide_row(
+                precomputed, decision_age, threshold, clearing is None
+            )
+        else:
+            decisions = _decide_rounds(
+                precomputed,
+                decision_age,
+                threshold,
+                clearing is None,
+                clearing is not None or cancellation is not None,
+            )
+
+    r_physical = decisions.r_physical
+    listings: "Listings | None" = None
+    tallies: "list[np.ndarray | None]" = [None, None, None]
+    if clearing is None:
+        sale_income = _sequential_income_table(
+            per_sale_income, int(decisions.total_sold.max(initial=0))
+        )[decisions.total_sold]
+    elif decisions.rows.size == 0:
+        sale_income = np.zeros(users, dtype=np.float64)
+        tallies = [np.zeros(users, dtype=np.int64) for _ in range(3)]
+    else:
+        listings, sale_income, r_physical = _apply_clearing(
+            clearing, resolved_keys, model, decisions, decision_age, horizon
+        )
+        still_open = ~listings.cleared & ~listings.expired
+        tallies = [
+            np.bincount(decisions.rows[fate], minlength=users)
+            for fate in (listings.cleared, listings.expired, still_open)
+        ]
+
+    rebuy_costs: "np.ndarray | None" = None
+    instances_rebought: "np.ndarray | None" = None
+    rebuys: "dict[int, tuple[Rebuy, ...]]" = {}
+    if cancellation is not None:
+        if listings is None:
+            # Instant sales watch from the decision hour.
+            sold_rows, sold_t0 = decisions.rows, decisions.t0
+            watch_from = sold_t0 + decision_age
+        else:
+            # Only cleared listings sold; they watch from the clear hour.
+            sold_rows = decisions.rows[listings.cleared]
+            sold_t0 = decisions.t0[listings.cleared]
+            watch_from = listings.clear_at[listings.cleared]
+        rebuy_costs, instances_rebought, rebuys = _apply_cancellation(
+            cancellation, model, d, r_physical, sold_rows, sold_t0, watch_from
+        )
+
+    on_demand = np.maximum(d - r_physical, 0)
+    if model.fee_mode is HourlyFeeMode.ACTIVE:
+        billed_hours = r_physical.sum(axis=1)
+    else:
+        billed_hours = np.minimum(d, r_physical).sum(axis=1)
+    result = PopulationResult(
+        kind=kind,
+        phi=phi,
+        on_demand=on_demand.sum(axis=1).astype(np.float64) * model.p,
+        upfront=n.sum(axis=1).astype(np.float64) * model.big_r,
+        reserved_hourly=billed_hours.astype(np.float64) * model.alpha * model.p,
+        sale_income=sale_income,
+        instances_sold=decisions.total_sold,
+        instances_cleared=tallies[0],
+        listings_expired=tallies[1],
+        listings_open=tallies[2],
+        rebuy=rebuy_costs,
+        instances_rebought=instances_rebought,
+    )
+    if users != 1:
+        return result, None
+    return result, RowRecords(
+        decision_age=decision_age,
+        sale_t0=decisions.t0,
+        working_hours=decisions.working,
+        listings=listings,
+        rebuys=rebuys.get(0, ()),
+        r_physical=r_physical[0],
+        on_demand=on_demand[0],
     )
 
 
@@ -376,7 +775,8 @@ def run_population(
     receive for user ``u``, and the returned per-user costs and sale
     counts are bit-identical to per-user ``run_fast`` calls. Inputs are
     validated with the same strictness (non-negative, integral, finite;
-    ``threshold_scale`` finite and ≥ 0).
+    ``threshold_scale`` finite and ≥ 0), and the horizon must cover at
+    least one hour.
 
     When sweeping several policies over the same block, build a
     :func:`prepare_population` once and pass it as ``precomputed`` —
@@ -387,9 +787,8 @@ def run_population(
     With a :class:`~repro.core.clearing.ClearingModel`, SELL decisions
     open listings whose clearing delays are drawn vectorised — one
     uniform per sale from the per-user stream
-    ``clearing.stream(clearing_keys[u])`` — and the clear events are
-    composed with the same difference-array cost accumulation the
-    instant path uses. Per user the outputs are bit-identical to
+    ``clearing.stream(clearing_keys[u])``. Per user the outputs are
+    bit-identical to
     ``run_fast(..., clearing=clearing, clearing_key=clearing_keys[u])``
     (``tests/core/test_clearing.py``). ``clearing_keys`` defaults to the
     row index within this block; pass stable per-user keys (for example
@@ -413,280 +812,17 @@ def run_population(
             f"{precomputed.period}-hour period but the cost model uses "
             f"{period} hours"
         )
-    d = precomputed.demands
-    n = precomputed.reservations
-    users, horizon = d.shape
-    if kind is not FastPolicyKind.KEEP_RESERVED:
-        validate_phi(phi)
-    validate_threshold_scale(threshold_scale, SimulationError)
-    if clearing is not None and not isinstance(clearing, ClearingModel):
-        raise SimulationError(
-            f"clearing must be a ClearingModel or None, got "
-            f"{type(clearing).__name__}"
-        )
-    if cancellation is not None and not isinstance(cancellation, CancellationModel):
-        raise SimulationError(
-            f"cancellation must be a CancellationModel or None, got "
-            f"{type(cancellation).__name__}"
-        )
-    resolved_keys: "list[object] | None" = None
-    if clearing is not None:
-        if clearing_keys is None:
-            resolved_keys = list(range(users))
-        else:
-            resolved_keys = list(clearing_keys)
-            if len(resolved_keys) != users:
-                raise SimulationError(
-                    f"clearing_keys must have one entry per user "
-                    f"({users}), got {len(resolved_keys)}"
-                )
-
-    decision_age = round(phi * period)
-    beta = break_even_working_hours(model.plan, model.selling_discount, phi)
-
-    r_physical = precomputed.active
-    total_sold = np.zeros(users, dtype=np.int64)
-    evaluate = (
-        kind is not FastPolicyKind.KEEP_RESERVED
-        and 0 < decision_age < period
+    result, _records = run_block(
+        precomputed,
+        model,
+        phi,
+        kind,
+        threshold_scale,
+        clearing=clearing,
+        clearing_keys=clearing_keys,
+        cancellation=cancellation,
     )
-    per_sale_income = 0.0
-    # Sales' effect on the active-instance timeline, as a difference
-    # array (one extra column swallows end == horizon): r_physical is
-    # never edited in the loop, the cumsum below applies every sale at
-    # once at the end of the run.
-    sale_delta: "np.ndarray | None" = None
-    # Under clearing the physical timeline changes at the *drawn clear
-    # hour*, not the decision hour, so the branches below collect one
-    # event per sold instance (per user in run_fast's draw order)
-    # instead of writing decision-time deltas. The cancellation
-    # post-pass also needs the per-sale events (it ranks sold units in
-    # that same order), so instant-path runs collect them too — on top
-    # of, not instead of, their decision-time deltas.
-    collect_events = clearing is not None or cancellation is not None
-    event_rows_parts: "list[np.ndarray]" = []
-    event_t0_parts: "list[np.ndarray]" = []
-    if evaluate:
-        remaining_fraction = 1.0 - decision_age / period
-        per_sale_income = model.sale_income(remaining_fraction)
-        scaled_beta = threshold_scale * beta
-        if kind is FastPolicyKind.ONLINE and math.isfinite(scaled_beta):
-            # Largest integer working time that still sells under the
-            # strict ``working < scale·β`` test (exact: ceil on floats).
-            max_selling_working = math.ceil(scaled_beta) - 1
-            # Smallest free-hour count F that sells (working = φT − F).
-            min_selling_free = decision_age - max_selling_working
-        else:
-            # ALL_SELLING sells regardless of the free-hour count, and so
-            # does ONLINE when a large finite scale overflows scale·β.
-            min_selling_free = 0
-
-        # Batches whose decision hour lands inside the horizon
-        # (t0 < horizon − φT), in row-major = per-user ascending order.
-        event_rows, event_t0 = np.nonzero(n[:, : max(horizon - decision_age, 0)])
-        if event_rows.size == 0 or min_selling_free > decision_age:
-            # No batches, or even a fully idle window (F = φT) keeps.
-            pass
-        elif min_selling_free <= 0:
-            # Every instance of every batch sells (All-Selling, or a
-            # scale·β so large the working-time test always passes) —
-            # no window needs reading, the whole run is closed-form.
-            counts = n[event_rows, event_t0]
-            np.add.at(total_sold, event_rows, counts)
-            if clearing is None:
-                sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
-                np.subtract.at(
-                    sale_delta, (event_rows, event_t0 + decision_age), counts
-                )
-                np.add.at(
-                    sale_delta,
-                    (event_rows, np.minimum(event_t0 + period, horizon)),
-                    counts,
-                )
-            if collect_events:
-                # Expand batches to per-sale events; nonzero's row-major
-                # order keeps each user's sales in ascending t0 / batch
-                # order, matching run_fast's draw order.
-                event_rows_parts.append(np.repeat(event_rows, counts))
-                event_t0_parts.append(np.repeat(event_t0, counts))
-        else:
-            # Round j handles every user's j-th batch at once; a user's
-            # own rounds run in ascending t0 (row-major nonzero order),
-            # which is the only ordering the history rewrites need.
-            if clearing is None:
-                sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
-            # The same collapse as run_fast: the l running sum always
-            # reads the *original* schedule, so one prefix sum serves
-            # every window (and every policy of the block).
-            n_prefix = precomputed.reservation_prefix
-            # Window expression tensor: expression[u, k] =
-            # r_eff[u, k] − d[u, k] − n_prefix[u, k+1]. The free-slack
-            # value of window t0 is expression[u, k] + n_prefix[u, t0+1]
-            # — a per-row constant, which commutes with taking an order
-            # statistic, so it is added to the *pivot* after the
-            # partition and only one tensor gather is needed per round.
-            # Sale rewrites of r_eff edit this tensor identically.
-            expression = r_physical - d - n_prefix[:, 1:]
-            events_per_user = np.bincount(event_rows, minlength=users)
-            event_start = np.concatenate(([0], np.cumsum(events_per_user)))
-            # j0-th largest slack value per user: the pivot deciding how
-            # many batch instances clear the break-even test.
-            pivot_column = decision_age - min_selling_free
-            window_offsets = np.arange(decision_age)
-            for round_index in range(int(events_per_user.max(initial=0))):
-                rows = np.flatnonzero(events_per_user > round_index)
-                t0 = event_t0[event_start[rows] + round_index]
-                cols = t0[:, None] + window_offsets
-                window = expression[rows[:, None], cols]
-                pivot = (
-                    np.partition(window, pivot_column, axis=1)[:, pivot_column]
-                    + n_prefix[rows, t0 + 1]
-                )
-                batch_sizes = n[rows, t0]
-                # Selling i instances needs c_(j0) > 2(i−1): each sale
-                # both advances the batch index and rewrites history.
-                sold = np.where(
-                    pivot >= 1,
-                    np.minimum(batch_sizes, (pivot - 1) // 2 + 1),
-                    0,
-                )
-                sellers = np.flatnonzero(sold > 0)
-                if sellers.size == 0:
-                    continue
-                sell_rows = rows[sellers]
-                sell_t0 = t0[sellers]
-                sell_counts = sold[sellers]
-                sell_end = np.minimum(sell_t0 + period, horizon)
-                if clearing is None:
-                    # One row per seller within a round: plain fancy
-                    # assignment is safe (no duplicate indices).
-                    sale_delta[sell_rows, sell_t0 + decision_age] -= sell_counts
-                    sale_delta[sell_rows, sell_end] += sell_counts
-                if collect_events:
-                    # Rounds visit each user's batches in ascending t0,
-                    # so appending round by round keeps every user's
-                    # events in run_fast's draw order.
-                    event_rows_parts.append(np.repeat(sell_rows, sell_counts))
-                    event_t0_parts.append(np.repeat(sell_t0, sell_counts))
-                total_sold[sell_rows] += sell_counts
-                for row, start, stop, count in zip(
-                    sell_rows.tolist(),
-                    sell_t0.tolist(),
-                    sell_end.tolist(),
-                    sell_counts.tolist(),
-                ):
-                    expression[row, start:stop] -= count
-
-    instances_cleared: "np.ndarray | None" = None
-    listings_expired: "np.ndarray | None" = None
-    listings_open: "np.ndarray | None" = None
-    sale_events: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None"
-    sale_events = None
-    if clearing is not None:
-        clearing_income = np.zeros(users, dtype=np.float64)
-        instances_cleared = np.zeros(users, dtype=np.int64)
-        listings_expired = np.zeros(users, dtype=np.int64)
-        listings_open = np.zeros(users, dtype=np.int64)
-        if event_rows_parts:
-            sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
-            (
-                clearing_income,
-                instances_cleared,
-                listings_expired,
-                listings_open,
-                sale_events,
-            ) = _apply_clearing(
-                clearing,
-                resolved_keys,
-                model,
-                np.concatenate(event_rows_parts),
-                np.concatenate(event_t0_parts),
-                decision_age,
-                period,
-                horizon,
-                users,
-                sale_delta,
-            )
-
-    if sale_delta is not None and total_sold.any():
-        r_physical = r_physical + np.cumsum(sale_delta, axis=1)[:, :horizon]
-
-    rebuy_costs: "np.ndarray | None" = None
-    instances_rebought: "np.ndarray | None" = None
-    if cancellation is not None:
-        rebuy_costs = np.zeros(users, dtype=np.float64)
-        instances_rebought = np.zeros(users, dtype=np.int64)
-        if clearing is None and event_rows_parts:
-            # Instant sales: every sale is a sold unit watching from its
-            # decision hour. The round-wise appends interleave users, so
-            # a stable row sort restores each user's (t0, batch) order.
-            rows_all = np.concatenate(event_rows_parts)
-            t0_all = np.concatenate(event_t0_parts)
-            order = np.argsort(rows_all, kind="stable")
-            sale_events = (
-                rows_all[order],
-                t0_all[order],
-                t0_all[order] + decision_age,
-                np.ones(rows_all.size, dtype=bool),
-            )
-        if sale_events is not None:
-            unit_rows, unit_t0, unit_watch, unit_sold = sale_events
-            boundaries = np.flatnonzero(np.diff(unit_rows)) + 1
-            group_starts = np.concatenate(([0], boundaries))
-            group_stops = np.concatenate((boundaries, [unit_rows.size]))
-            for start, stop in zip(group_starts.tolist(), group_stops.tolist()):
-                user = int(unit_rows[start])
-                units = [
-                    SoldUnit(
-                        reserved_at=int(t0),
-                        watch_from=int(watch),
-                        term_end=min(int(t0) + period, horizon),
-                    )
-                    for t0, watch, sold in zip(
-                        unit_t0[start:stop].tolist(),
-                        unit_watch[start:stop].tolist(),
-                        unit_sold[start:stop].tolist(),
-                    )
-                    if sold
-                ]
-                if not units:
-                    continue
-                outcome = apply_rebuys(
-                    d[user], r_physical[user], units, period, model, cancellation
-                )
-                if outcome.rebuys:
-                    # r_physical is a fresh array whenever sales (and
-                    # therefore units) exist — safe to edit in place.
-                    r_physical[user] = outcome.r_after
-                    rebuy_costs[user] = outcome.rebuy_cost
-                    instances_rebought[user] = len(outcome.rebuys)
-
-    on_demand_hours = np.maximum(d - r_physical, 0).sum(axis=1)
-    if model.fee_mode is HourlyFeeMode.ACTIVE:
-        billed_hours = r_physical.sum(axis=1)
-    else:
-        billed_hours = np.minimum(d, r_physical).sum(axis=1)
-    if clearing is None:
-        income_table = _sequential_income_table(
-            per_sale_income, int(total_sold.max(initial=0))
-        )
-        sale_income = income_table[total_sold]
-    else:
-        sale_income = clearing_income
-    return PopulationResult(
-        kind=kind,
-        phi=phi,
-        on_demand=on_demand_hours.astype(np.float64) * model.p,
-        upfront=n.sum(axis=1).astype(np.float64) * model.big_r,
-        reserved_hourly=billed_hours.astype(np.float64) * model.alpha * model.p,
-        sale_income=sale_income,
-        instances_sold=total_sold,
-        instances_cleared=instances_cleared,
-        listings_expired=listings_expired,
-        listings_open=listings_open,
-        rebuy=rebuy_costs,
-        instances_rebought=instances_rebought,
-    )
+    return result
 
 
 def run_population_randomized(

@@ -51,6 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._arrays import as_count_array
 from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
 from repro.core.breakeven import (
     PAPER_DECISION_FRACTIONS,
@@ -210,13 +211,13 @@ class StreamTracker:
         reservations made this hour. Returns the decisions (if any)
         emitted at this hour — the batch reserved ``round(φT)`` hours
         ago reaching its decision spot."""
-        if demand < 0 or reservations < 0:
+        d = int(as_count_array(demand, "demand", ServeStateError))
+        n_new = int(as_count_array(reservations, "reservations", ServeStateError))
+        if d < 0 or n_new < 0:
             raise ServeStateError(
                 f"demand and reservations must be non-negative, got "
                 f"({demand!r}, {reservations!r})"
             )
-        d = int(demand)
-        n_new = int(reservations)
         t = self.hour
 
         # 1. Expired reservations stop serving (and stop billing); sold
@@ -281,10 +282,17 @@ class StreamTracker:
         self, demands: Iterable[int], reservations: Iterable[int]
     ) -> "List[StreamDecision]":
         """Feed a whole ``(d, n)`` trace event by event; returns every
-        decision emitted along the way."""
+        decision emitted along the way. The two traces must cover the
+        same hours."""
+        d_trace, n_trace = list(demands), list(reservations)
+        if len(d_trace) != len(n_trace):
+            raise ServeStateError(
+                f"demands and reservations must have equal length, got "
+                f"{len(d_trace)} and {len(n_trace)} hours"
+            )
         collected: List[StreamDecision] = []
-        for d, n in zip(demands, reservations):
-            collected.extend(self.observe(int(d), int(n)))
+        for d, n in zip(d_trace, n_trace):
+            collected.extend(self.observe(d, n))
         return collected
 
     # ------------------------------------------------------------------

@@ -168,9 +168,11 @@ class TestEngineDifferential:
             )
             assert result.breakdown(user) == fast.breakdown
 
-    def test_block_split_with_stable_keys_matches_whole_run(self):
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_split_with_stable_keys_matches_whole_run(self, block):
         """Splitting a population into blocks must not shift streams as
-        long as the caller passes stable per-user keys."""
+        long as the caller passes stable per-user keys (blocks of 1 run
+        the per-batch loop, the whole runs the rounds)."""
         model = build_model()
         demands, reservations = random_population(20)
         keys = [f"user-{u}" for u in range(20)]
@@ -180,14 +182,14 @@ class TestEngineDifferential:
         )
         parts = [
             run_population(
-                demands[lo:hi],
-                reservations[lo:hi],
+                demands[lo : lo + block],
+                reservations[lo : lo + block],
                 model,
                 0.5,
                 clearing=clearing,
-                clearing_keys=keys[lo:hi],
+                clearing_keys=keys[lo : lo + block],
             )
-            for lo, hi in ((0, 7), (7, 13), (13, 20))
+            for lo in range(0, 20, block)
         ]
         stitched = PopulationResult.concatenate(parts)
         assert np.array_equal(stitched.sale_income, whole.sale_income)

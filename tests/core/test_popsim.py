@@ -6,13 +6,17 @@ fee modes, and threshold scales."""
 import numpy as np
 import pytest
 
-from repro.core.account import CostModel, HourlyFeeMode
+from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
+from repro.core.cancellation import CancellationModel
+from repro.core.clearing import ClearingModel
 from repro.core.fastsim import FastPolicyKind, run_fast
+from repro.core.policies import RandomizedSellingPolicy
 from repro.core.popsim import (
     DEFAULT_BLOCK_USERS,
     PopulationResult,
     prepare_population,
     run_population,
+    run_population_randomized,
 )
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
@@ -160,17 +164,19 @@ class TestBlockInvariance:
     """Splitting a population into blocks and concatenating must be a
     no-op — the property the sweep's block fan-out relies on."""
 
-    def test_concatenate_blocks_equals_whole(self, toy_model):
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_concatenate_blocks_equals_whole(self, toy_model, block):
+        """Blocks of 1 run the per-batch loop, the whole runs the rounds."""
         demands, reservations = random_population(30, start_seed=50)
         whole = run_population(demands, reservations, toy_model, phi=0.5)
         parts = [
             run_population(
-                demands[start : start + 7],
-                reservations[start : start + 7],
+                demands[start : start + block],
+                reservations[start : start + block],
                 toy_model,
                 phi=0.5,
             )
-            for start in range(0, 30, 7)
+            for start in range(0, 30, block)
         ]
         stitched = PopulationResult.concatenate(parts)
         assert np.array_equal(whole.total_costs(), stitched.total_costs())
@@ -178,6 +184,35 @@ class TestBlockInvariance:
         assert np.array_equal(whole.sale_income, stitched.sale_income)
         assert np.array_equal(whole.instances_sold, stitched.instances_sold)
         assert stitched.n_users == 30
+
+    def test_concatenate_randomized_blocks_equals_whole(self, toy_model):
+        """Randomized blocks all carry phi = NaN and still stitch."""
+        demands, reservations = random_population(6, start_seed=70)
+        policy = RandomizedSellingPolicy(seed=3)
+        whole = run_population_randomized(
+            demands, reservations, toy_model, policy, user_keys=list(range(6))
+        )
+        stitched = PopulationResult.concatenate(
+            [
+                run_population_randomized(
+                    demands[lo:hi],
+                    reservations[lo:hi],
+                    toy_model,
+                    policy,
+                    user_keys=list(range(lo, hi)),
+                )
+                for lo, hi in ((0, 3), (3, 6))
+            ]
+        )
+        assert np.isnan(stitched.phi)
+        assert np.array_equal(stitched.drawn_phi, whole.drawn_phi)
+        assert np.array_equal(stitched.total_costs(), whole.total_costs())
+        assert np.array_equal(stitched.instances_sold, whole.instances_sold)
+        deterministic = run_population(
+            demands[:3], reservations[:3], toy_model, phi=0.5
+        )
+        with pytest.raises(SimulationError):
+            PopulationResult.concatenate([stitched, deterministic])
 
     def test_concatenate_rejects_mixed_policies(self, toy_model):
         demands, reservations = random_population(4)
@@ -269,8 +304,26 @@ class TestValidationParity:
         with pytest.raises(SimulationError):
             run_population(np.full((1, 8), -1), np.zeros((1, 8)), toy_model)
 
-    def test_rejects_empty_horizon(self, toy_model):
-        with pytest.raises(SimulationError):
+    def test_empty_horizon_rules(self, toy_model):
+        """run_fast returns an all-zero result on a zero-hour trace, with
+        or without clearing and cancellation; run_population refuses an
+        empty horizon."""
+        empty = np.zeros(0, dtype=np.int64)
+        settings = (
+            (None, None),
+            (ClearingModel.for_regime("normal", seed=1), CancellationModel()),
+        )
+        for clearing, cancellation in settings:
+            for kind in FastPolicyKind:
+                result = run_fast(
+                    empty, empty, toy_model, kind=kind,
+                    clearing=clearing, cancellation=cancellation,
+                )
+                assert result.breakdown == CostBreakdown()
+                assert result.sales == result.listings == result.rebuys == ()
+                for timeline in (result.on_demand, result.r_physical):
+                    assert timeline.dtype == np.int64 and timeline.shape == (0,)
+        with pytest.raises(SimulationError, match="at least one hour"):
             run_population(np.ones((2, 0)), np.zeros((2, 0)), toy_model)
 
     def test_rejects_fractional_demand(self, toy_model):
