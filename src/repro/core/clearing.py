@@ -69,11 +69,16 @@ SCHEDULE_LADDER = "ladder"
 _SCHEDULE_KINDS = (SCHEDULE_FIXED, SCHEDULE_ADAPTIVE, SCHEDULE_LADDER)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise SimulationError(f"{name} must be finite, got {value!r}")
-    return value
+def _require_finite(name: str, value: object) -> float:
+    """A finite real number; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise SimulationError(f"{name} must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise SimulationError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _require_fraction(name: str, value: float) -> float:
@@ -93,6 +98,17 @@ def _require_count(name: str, value: object) -> int:
     if count < 0:
         raise SimulationError(f"{name} must be >= 0, got {count!r}")
     return count
+
+
+def _payload_fields(payload: object, label: str, keys: "Tuple[str, ...]") -> dict:
+    """The values of ``keys`` in ``payload``, unconverted; every key
+    ``to_payload`` writes must be there."""
+    if not isinstance(payload, dict):
+        raise SimulationError(f"{label} payload must be an object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise SimulationError(f"{label} payload lacks {', '.join(missing)}")
+    return {key: payload[key] for key in keys}
 
 
 @dataclass(frozen=True)
@@ -138,20 +154,24 @@ class DiscountSchedule:
             raise SimulationError(
                 f"decay_per_day must lie in [0, 1), got {decay!r}"
             )
+        if not isinstance(self.ladder, (tuple, list)):
+            raise SimulationError(
+                f"ladder must be a sequence of discounts, got {self.ladder!r}"
+            )
+        object.__setattr__(
+            self,
+            "ladder",
+            tuple(
+                _require_fraction(f"ladder[{i}]", rung)
+                for i, rung in enumerate(self.ladder)
+            ),
+        )
+        step = _require_count("step_hours", self.step_hours)
         if self.kind == SCHEDULE_LADDER:
             if not self.ladder:
                 raise SimulationError(
                     "a ladder discount schedule needs a non-empty ladder"
                 )
-            object.__setattr__(
-                self,
-                "ladder",
-                tuple(
-                    _require_fraction(f"ladder[{i}]", rung)
-                    for i, rung in enumerate(self.ladder)
-                ),
-            )
-            step = _require_count("step_hours", self.step_hours)
             if step == 0:
                 raise SimulationError("step_hours must be >= 1")
 
@@ -192,20 +212,17 @@ class DiscountSchedule:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DiscountSchedule":
-        if not isinstance(payload, dict):
-            raise SimulationError("discount schedule payload must be an object")
-        return cls(
-            kind=str(payload.get("kind", SCHEDULE_FIXED)),
-            start_discount=(
-                None
-                if payload.get("start_discount") is None
-                else float(payload["start_discount"])
-            ),
-            floor_discount=float(payload.get("floor_discount", 0.5)),
-            decay_per_day=float(payload.get("decay_per_day", 0.05)),
-            ladder=tuple(float(r) for r in payload.get("ladder", ())),
-            step_hours=int(payload.get("step_hours", 168)),
+        """The inverse of :meth:`to_payload`: every key it writes is
+        required and every value reaches the constructor's checks as
+        written, so a fractional, bool or non-integer count is refused
+        rather than rounded."""
+        fields = _payload_fields(
+            payload,
+            "discount schedule",
+            ("kind", "start_discount", "floor_discount", "decay_per_day",
+             "ladder", "step_hours"),
         )
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -267,7 +284,7 @@ class ClearingModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.liquidity not in LIQUIDITY_REGIMES:
+        if not isinstance(self.liquidity, str) or self.liquidity not in LIQUIDITY_REGIMES:
             raise SimulationError(
                 f"unknown liquidity regime {self.liquidity!r}; expected one "
                 f"of {sorted(LIQUIDITY_REGIMES)}"
@@ -375,21 +392,16 @@ class ClearingModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ClearingModel":
-        if not isinstance(payload, dict):
-            raise SimulationError("clearing payload must be an object")
+        """The inverse of :meth:`to_payload`, as strict as the
+        constructor (see :meth:`DiscountSchedule.from_payload`)."""
+        fields = _payload_fields(
+            payload,
+            "clearing",
+            ("liquidity", "base_hazard", "sensitivity", "schedule",
+             "max_open_hours", "seed"),
+        )
         return cls(
-            liquidity=str(payload.get("liquidity", "normal")),
-            base_hazard=float(payload.get("base_hazard", 0.02)),
-            sensitivity=float(payload.get("sensitivity", 4.0)),
-            schedule=DiscountSchedule.from_payload(
-                payload.get("schedule", DiscountSchedule().to_payload())
-            ),
-            max_open_hours=(
-                None
-                if payload.get("max_open_hours") is None
-                else int(payload["max_open_hours"])
-            ),
-            seed=int(payload.get("seed", 0)),
+            **{**fields, "schedule": DiscountSchedule.from_payload(fields["schedule"])}
         )
 
     def content_digest(self) -> str:

@@ -34,11 +34,20 @@ of the shifted thresholds ``2(i − 1) − prefix[t0 + 1]`` gives every
 instance's working time — the only step that yields them, and
 ``run_fast``'s records carry them — and rewrites go by slices. **Many
 rows** run in *rounds*: users never interact, so round ``j`` decides
-every user's ``j``-th batch at once (one fancy-index gather), and the
-number sold follows from one order statistic of the window (the
-``j0``-th largest slack, ``j0`` the smallest free-hour count that still
-sells): one ``np.partition`` per round, and no window at all for
-All-Selling. One row keeps its loop because the rounds cost more on a
+every user's ``j``-th batch at once, and the number sold follows from
+one order statistic of the window (the ``j0``-th largest slack, ``j0``
+the smallest free-hour count that still sells). The windows are read
+through one strided view of ``expression`` (``sliding_window_view``,
+built only when a batch decides inside the horizon, so a window always
+fits): each round gathers its rows' windows into one copy and
+partitions that copy in place, and the history rewrites go to
+``expression``, which the view sees. All-Selling reads no window at
+all. Sales settle in place: the ``(U, H + 1)`` difference array is
+cumsummed in its own buffer and the active timeline added to its first
+``H`` columns. Many rows count on-demand hours as ``Σd − Σmin(d, r)``,
+exact in int64, which spares the ``(U × H)`` on-demand temporaries; one
+row keeps ``max(d − r, 0)``, the hourly array its records carry. One
+row keeps its loop because the rounds cost more on a
 single user: on ``perfbench``'s ``sweep-user`` (30 paper-preset users ×
 7 policies, 17,520 hours, one row per call, 2-core x86-64 host)
 ``run_fast`` on the rounds alone measured ``latency_norm`` 30.9 and 33.6
@@ -214,10 +223,12 @@ class PopulationPrecompute:
     policy kind or the threshold scale enters them. A sweep runs ~7
     policies over the *same* block, so :func:`prepare_population` lets
     callers check once and share both across every policy run of the
-    block. The engine treats every held array as read-only (sale
-    rewrites always go to fresh per-run arrays), which is what keeps
-    sharing bit-safe. The constructor takes already-checked ``int64``
-    arrays.
+    block. The engine treats every held array as read-only: a run's
+    slack tensor, its settled timeline and its accounting temporaries
+    are its own arrays, built from these without writing to them, which
+    is what keeps sharing bit-safe. Every held tensor is row-wise, so
+    :meth:`take_rows` slices a prepared block exactly. The constructor
+    takes already-checked ``int64`` arrays.
     """
 
     __slots__ = ("demands", "reservations", "period", "reservation_prefix", "active")
@@ -238,6 +249,16 @@ class PopulationPrecompute:
             active[:, period:] -= prefix[:, 1 : horizon - period + 1]
         self.reservation_prefix = prefix
         self.active = active
+
+    def take_rows(self, rows: np.ndarray) -> "PopulationPrecompute":
+        """The block of ``rows`` only, sliced rather than recomputed."""
+        part = object.__new__(PopulationPrecompute)
+        part.demands = self.demands[rows]
+        part.reservations = self.reservations[rows]
+        part.period = self.period
+        part.reservation_prefix = self.reservation_prefix[rows]
+        part.active = self.active[rows]
+        return part
 
 
 def prepare_population(
@@ -327,6 +348,16 @@ def _row_groups(rows: np.ndarray) -> "list[tuple[int, int]]":
     return list(zip([0, *bounds], [*bounds, rows.size])) if rows.size else []
 
 
+def _settle(active: np.ndarray, sale_delta: np.ndarray) -> np.ndarray:
+    """``active`` plus the sales' ``(U, H + 1)`` difference array, built
+    in the difference array's own buffer: returns a view of its first
+    ``H`` columns and never writes to ``active``."""
+    np.cumsum(sale_delta, axis=1, out=sale_delta)
+    settled = sale_delta[:, : active.shape[1]]
+    settled += active
+    return settled
+
+
 def _decide_row(
     precomputed: PopulationPrecompute,
     decision_age: int,
@@ -386,7 +417,7 @@ def _decide_rounds(
 
     The per-sale events are collected only when ``collect_events``;
     under ``instant`` sales the physical timeline gathers every sale in
-    a difference array, applied with one cumsum at the end.
+    a difference array, settled in place at the end.
     """
     d = precomputed.demands
     n = precomputed.reservations
@@ -438,23 +469,25 @@ def _decide_rounds(
         # The window's slack is expression + n_prefix[u, t0 + 1], a
         # per-row constant that commutes with taking an order statistic,
         # so it is added to the *pivot* after the partition and only one
-        # tensor gather is needed per round.
-        expression = r_physical - d - n_prefix[:, 1:]
+        # gather is needed per round. Every batch here decides inside
+        # the horizon, so a window always fits; the strided view sees
+        # the history rewrites made to ``expression``.
+        expression = np.subtract(r_physical, d)
+        expression -= n_prefix[:, 1:]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            expression, decision_age, axis=1
+        )
         events_per_user = np.bincount(event_rows, minlength=users)
         event_start = np.concatenate(([0], np.cumsum(events_per_user)))
         # j0-th largest slack value per user: the pivot deciding how
         # many batch instances clear the break-even test.
         pivot_column = decision_age - min_selling_free
-        window_offsets = np.arange(decision_age)
         for round_index in range(int(events_per_user.max(initial=0))):
             rows = np.flatnonzero(events_per_user > round_index)
             t0 = event_t0[event_start[rows] + round_index]
-            cols = t0[:, None] + window_offsets
-            window = expression[rows[:, None], cols]
-            pivot = (
-                np.partition(window, pivot_column, axis=1)[:, pivot_column]
-                + n_prefix[rows, t0 + 1]
-            )
+            window = windows[rows, t0]  # a copy: partitioned in place
+            window.partition(pivot_column, axis=1)
+            pivot = window[:, pivot_column] + n_prefix[rows, t0 + 1]
             batch_sizes = n[rows, t0]
             # Selling i instances needs c_(j0) > 2(i−1): each sale both
             # advances the batch index and rewrites history.
@@ -488,7 +521,7 @@ def _decide_rounds(
                 expression[row, start:stop] -= count
 
     if sale_delta is not None and total_sold.any():
-        r_physical = r_physical + np.cumsum(sale_delta, axis=1)[:, :horizon]
+        r_physical = _settle(r_physical, sale_delta)
     if rows_parts:
         # Rounds interleave users; a stable row sort restores each
         # user's (t0, batch) order.
@@ -549,7 +582,7 @@ def _apply_clearing(
         sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
         np.add.at(sale_delta, (rows_cleared, tc), -1)
         np.add.at(sale_delta, (rows_cleared, np.minimum(t0_cleared + period, horizon)), 1)
-        r_physical = r_physical + np.cumsum(sale_delta, axis=1)[:, :horizon]
+        r_physical = _settle(r_physical, sale_delta)
         # (1−fee) · a(w) · remaining · R, left to right.
         clear_fraction = 1.0 - (tc - t0_cleared) / period
         values = (
@@ -723,15 +756,27 @@ def run_block(
             cancellation, model, d, r_physical, sold_rows, sold_t0, watch_from
         )
 
-    on_demand = np.maximum(d - r_physical, 0)
-    if model.fee_mode is HourlyFeeMode.ACTIVE:
-        billed_hours = r_physical.sum(axis=1)
+    billed_hours = (
+        r_physical.sum(axis=1) if model.fee_mode is HourlyFeeMode.ACTIVE else None
+    )
+    on_demand: "np.ndarray | None" = None
+    if users == 1:
+        # The row's records carry the hourly on-demand array.
+        on_demand = np.maximum(d - r_physical, 0)
+        on_demand_hours = on_demand.sum(axis=1)
+        if billed_hours is None:
+            billed_hours = np.minimum(d, r_physical).sum(axis=1)
     else:
-        billed_hours = np.minimum(d, r_physical).sum(axis=1)
+        # Σ max(d − r, 0) = Σ d − Σ min(d, r), exact in int64: one
+        # (U × H) temporary instead of three.
+        covered_hours = np.minimum(d, r_physical).sum(axis=1)
+        on_demand_hours = d.sum(axis=1) - covered_hours
+        if billed_hours is None:
+            billed_hours = covered_hours
     result = PopulationResult(
         kind=kind,
         phi=phi,
-        on_demand=on_demand.sum(axis=1).astype(np.float64) * model.p,
+        on_demand=on_demand_hours.astype(np.float64) * model.p,
         upfront=n.sum(axis=1).astype(np.float64) * model.big_r,
         reserved_hourly=billed_hours.astype(np.float64) * model.alpha * model.p,
         sale_income=sale_income,
@@ -742,7 +787,7 @@ def run_block(
         rebuy=rebuy_costs,
         instances_rebought=instances_rebought,
     )
-    if users != 1:
+    if on_demand is None:
         return result, None
     return result, RowRecords(
         decision_age=decision_age,
@@ -841,10 +886,11 @@ def run_population_randomized(
 
     One decision fraction is drawn per user from the policy's per-key
     uniform stream — ``policy.draw_spot(user_keys[u])`` — and the run
-    then *is* the deterministic online engine at that φ: rows are
-    grouped by drawn spot, each group runs through
-    :func:`run_population` at its φ, and the per-user outputs scatter
-    back into the original row order. Per user the result is therefore
+    then *is* the deterministic online engine at that φ: the block is
+    checked and prepared once, rows are grouped by drawn spot, each
+    group's slice of the prepared block runs through :func:`run_block`
+    at its φ, and the per-user outputs scatter back into the original
+    row order. Per user the result is therefore
     bit-identical to ``run_fast`` at the drawn φ (and to the serving
     fleet, which draws from the same stream keyed the same way); a
     single-spot menu reduces bit-identically to the plain deterministic
@@ -904,13 +950,12 @@ def run_population_randomized(
     }
     for phi in np.unique(drawn).tolist():
         rows = np.flatnonzero(drawn == phi)
-        group = run_population(
-            precomputed.demands[rows],
-            precomputed.reservations[rows],
+        group, _records = run_block(
+            precomputed.take_rows(rows),
             model,
-            phi=phi,
-            kind=FastPolicyKind.ONLINE,
-            threshold_scale=threshold_scale,
+            phi,
+            FastPolicyKind.ONLINE,
+            threshold_scale,
             clearing=clearing,
             clearing_keys=(
                 None

@@ -8,6 +8,11 @@ the history (and, without clearing, the physical) rewrite one sale at a
 time. ``repro.core.fastsim.run_fast`` decides each batch from one
 sorted slack vector and must return the same :class:`FastResult` to
 the bit.
+
+``literal_apply_rebuys`` is the cancellation rank rule written as a scan
+of every hour of each sold unit's watch window. The reference run uses
+it rather than the package's ``apply_rebuys``, so the differential also
+checks that function: a reference must not share the code it checks.
 """
 
 from __future__ import annotations
@@ -21,10 +26,65 @@ from repro.core.breakeven import (
     validate_phi,
     validate_threshold_scale,
 )
-from repro.core.cancellation import CancellationModel, Rebuy, SoldUnit, apply_rebuys
+from repro.core.cancellation import (
+    CancellationModel,
+    Rebuy,
+    RebuyOutcome,
+    SoldUnit,
+    rebuy_cost_at,
+)
 from repro.core.clearing import ClearingModel, ClearingProfile
 from repro.core.fastsim import FastListing, FastPolicyKind, FastResult, FastSale
 from repro.errors import SimulationError
+
+
+def literal_apply_rebuys(
+    demands: np.ndarray,
+    r_base: np.ndarray,
+    units: "list[SoldUnit]",
+    period: int,
+    model: CostModel,
+    cancellation: CancellationModel,
+) -> RebuyOutcome:
+    """The static rank rule, every hour of every unit's watch window.
+
+    Unit ``s`` sees the residual ``d − r_base − cover`` over
+    ``[watch_from, term_end)``, where ``cover`` counts the senior units
+    whose windows hold the hour; it re-buys at the ``trigger_hours``-th
+    hour with a positive residual and then covers its window whether or
+    not it re-bought.
+    """
+    d = np.asarray(demands)
+    base = np.asarray(r_base)
+    horizon = d.shape[0]
+    cover = np.zeros(horizon, dtype=np.int64)
+    r_after = base.copy()
+    rebuys: "list[Rebuy]" = []
+    total = 0.0
+    for index, unit in enumerate(units):
+        start = unit.watch_from
+        end = unit.term_end
+        if start < end:
+            window = slice(start, end)
+            residual = d[window] - base[window] - cover[window]
+            hours = np.flatnonzero(residual > 0)
+            if hours.size >= cancellation.trigger_hours:
+                hour = start + int(hours[cancellation.trigger_hours - 1])
+                cost = rebuy_cost_at(
+                    model, period, unit.reserved_at, hour, cancellation.penalty
+                )
+                r_after[hour:end] += 1
+                rebuys.append(
+                    Rebuy(
+                        unit_index=index,
+                        reserved_at=unit.reserved_at,
+                        hour=hour,
+                        cost=cost,
+                    )
+                )
+                total += cost
+            cover[window] += 1
+    return RebuyOutcome(rebuys=tuple(rebuys), r_after=r_after, rebuy_cost=total)
 
 
 def literal_run_fast(
@@ -188,7 +248,9 @@ def literal_run_fast(
                             term_end=min(listing.reserved_at + period, horizon),
                         )
                     )
-        outcome = apply_rebuys(d, r_physical, units, period, model, cancellation)
+        outcome = literal_apply_rebuys(
+            d, r_physical, units, period, model, cancellation
+        )
         r_physical = outcome.r_after
         rebuys = outcome.rebuys
         rebuy_cost = outcome.rebuy_cost

@@ -44,6 +44,23 @@ class TestCancellationModel:
         with pytest.raises(SimulationError):
             CancellationModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"penalty": 0.25, "trigger_hours": 2.5},
+            {"penalty": 0.25, "trigger_hours": 2.0},
+            {"penalty": 0.25, "trigger_hours": True},
+            {"penalty": 0.25, "trigger_hours": "2"},
+            {"penalty": "0.25", "trigger_hours": 2},
+            {"penalty": True, "trigger_hours": 2},
+            {"penalty": 0.25},
+            {"trigger_hours": 2},
+        ],
+    )
+    def test_payload_is_not_coerced_or_defaulted(self, payload):
+        with pytest.raises(SimulationError):
+            CancellationModel.from_payload(payload)
+
     def test_content_digest_distinguishes_terms(self):
         assert (
             CancellationModel(penalty=0.25).content_digest()

@@ -6,6 +6,7 @@ fee modes, and threshold scales."""
 import numpy as np
 import pytest
 
+from repro.core import popsim
 from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
 from repro.core.cancellation import CancellationModel
 from repro.core.clearing import ClearingModel
@@ -251,24 +252,65 @@ class TestSharedPrecompute:
             assert np.array_equal(fresh.instances_sold, shared.instances_sold)
 
     def test_shared_tensors_survive_selling_runs(self, toy_model):
+        """Runs build their slack, settlement and accounting arrays
+        without writing to the shared block, whatever they settle."""
         demands, reservations = random_population(10, start_seed=120)
         prepared = prepare_population(demands, reservations, toy_model.period)
-        active_before = prepared.active.copy()
-        prefix_before = prepared.reservation_prefix.copy()
-        for phi in PHIS:
-            run_population(
-                demands, reservations, toy_model, phi=phi, precomputed=prepared
-            )
-            run_population(
-                demands,
-                reservations,
-                toy_model,
-                phi=phi,
-                kind=FastPolicyKind.ALL_SELLING,
-                precomputed=prepared,
-            )
-        assert np.array_equal(prepared.active, active_before)
-        assert np.array_equal(prepared.reservation_prefix, prefix_before)
+        held = ("demands", "reservations", "active", "reservation_prefix")
+        before = {name: getattr(prepared, name).copy() for name in held}
+        clearings = (
+            None,
+            ClearingModel.for_regime("normal", seed=4),
+            ClearingModel.instant(seed=4),
+        )
+        sold = 0
+        for kind in FastPolicyKind:
+            for clearing in clearings:
+                for cancellation in (None, CancellationModel()):
+                    for phi in PHIS:
+                        result = run_population(
+                            demands,
+                            reservations,
+                            toy_model,
+                            phi=phi,
+                            kind=kind,
+                            precomputed=prepared,
+                            clearing=clearing,
+                            cancellation=cancellation,
+                        )
+                        sold += int(result.instances_sold.sum())
+        assert sold > 0
+        for name in held:
+            assert np.array_equal(getattr(prepared, name), before[name]), name
+
+    def test_row_slice_equals_a_fresh_block(self, toy_model):
+        demands, reservations = random_population(9, start_seed=140)
+        prepared = prepare_population(demands, reservations, toy_model.period)
+        rows = np.array([7, 0, 4, 4])
+        part = prepared.take_rows(rows)
+        fresh = prepare_population(demands[rows], reservations[rows], toy_model.period)
+        assert part.period == fresh.period
+        for name in ("demands", "reservations", "active", "reservation_prefix"):
+            assert np.array_equal(getattr(part, name), getattr(fresh, name)), name
+
+    def test_randomized_refuses_bad_input_before_any_group(
+        self, toy_model, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            popsim, "run_block", lambda *args, **kwargs: calls.append(args)
+        )
+        policy = RandomizedSellingPolicy(seed=3)
+        demands, reservations = random_population(4)
+        for bad_demands in (
+            np.where(demands == 0, np.nan, demands),
+            np.where(demands == 0, -1, demands),
+        ):
+            with pytest.raises(SimulationError):
+                run_population_randomized(
+                    bad_demands, reservations, toy_model, policy
+                )
+        assert calls == []
 
     def test_period_mismatch_rejected(self, toy_model):
         demands, reservations = random_population(3)
@@ -287,6 +329,86 @@ class TestSharedPrecompute:
             prepare_population(
                 np.full((2, 4), -1), np.zeros((2, 4)), toy_model.period
             )
+
+
+class TestShortHorizons:
+    """Many rows on horizons where no window fits (H ≤ φT) or only the
+    first hour or two of batches decide (H − φT ∈ {1, 2}), with clearing
+    and cancellation on: every row must equal its own ``run_fast``."""
+
+    SETTINGS = (
+        (None, None),
+        (None, CancellationModel(penalty=0.1)),
+        ("normal", CancellationModel()),
+        ("instant", CancellationModel(trigger_hours=2)),
+    )
+
+    def test_many_rows_match_run_fast(self, toy_model):
+        compared = sold = rebought = 0
+        for phi in PHIS:
+            decision_age = round(phi * toy_model.period)
+            for horizon in range(1, decision_age + 3):
+                demands, reservations = random_population(
+                    6, horizon=horizon, start_seed=40 * horizon, max_batch=5
+                )
+                # Batches in the first hours, which are the only ones
+                # that can decide inside these horizons.
+                reservations[:, :2] += np.arange(6)[:, None] % 3
+                for kind in FastPolicyKind:
+                    for regime, cancellation in self.SETTINGS:
+                        clearing = (
+                            None
+                            if regime is None
+                            else ClearingModel.for_regime(regime, seed=horizon)
+                        )
+                        result = run_population(
+                            demands,
+                            reservations,
+                            toy_model,
+                            phi=phi,
+                            kind=kind,
+                            clearing=clearing,
+                            cancellation=cancellation,
+                        )
+                        for user in range(6):
+                            fast = run_fast(
+                                demands[user],
+                                reservations[user],
+                                toy_model,
+                                phi=phi,
+                                kind=kind,
+                                clearing=clearing,
+                                clearing_key=user,
+                                cancellation=cancellation,
+                            )
+                            context = (phi, horizon, kind, regime, user)
+                            assert result.breakdown(user) == fast.breakdown, context
+                            assert (
+                                int(result.instances_sold[user]) == fast.instances_sold
+                            ), context
+                            if clearing is not None:
+                                assert (
+                                    int(result.instances_cleared[user])
+                                    == fast.instances_cleared
+                                ), context
+                                assert (
+                                    int(result.listings_expired[user])
+                                    == fast.listings_expired
+                                ), context
+                            if cancellation is None:
+                                assert result.instances_rebought is None
+                            else:
+                                assert (
+                                    int(result.instances_rebought[user])
+                                    == fast.instances_rebought
+                                ), context
+                            compared += 1
+                            sold += fast.instances_sold
+                            rebought += fast.instances_rebought
+        assert sold > 0 and rebought > 0
+        assert compared == 6 * 3 * len(self.SETTINGS) * sum(
+            round(phi * toy_model.period) + 2 for phi in PHIS
+        )
 
 
 class TestValidationParity:

@@ -286,6 +286,46 @@ def test_unknown_format_still_refused():
         checkpoint_from_payload(payload)
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "seed", 7.9),
+        (None, "seed", True),
+        (None, "seed", _DROP),
+        (None, "max_open_hours", 4.5),
+        (None, "max_open_hours", _DROP),
+        (None, "liquidity", _DROP),
+        (None, "base_hazard", "0.02"),
+        (None, "sensitivity", True),
+        ("schedule", "step_hours", 24.5),
+        ("schedule", "step_hours", _DROP),
+        ("schedule", "kind", _DROP),
+        ("schedule", "ladder", _DROP),
+    ],
+)
+def test_edited_clearing_section_is_refused(tmp_path, section, key, value):
+    """A restore must not round, coerce or default the clearing model:
+    each of these edits would silently move every later clearing draw."""
+    clearing = ClearingModel.for_regime("normal", seed=7, max_open_hours=12)
+    path = tmp_path / "fleet.ckpt"
+    save_checkpoint(path, FleetState(small_model(), clearing=clearing))
+    assert restore_checkpoint(path).fleet.clearing == clearing
+    payload = json.loads(path.read_text())
+    target = payload["clearing"]
+    if section is not None:
+        target = target[section]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        restore_checkpoint(path)
+
+
 def test_wait_row_without_clearing_model_is_refused():
     model = small_model()
     clearing = ClearingModel.for_regime("frozen", seed=1)
