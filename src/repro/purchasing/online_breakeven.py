@@ -17,21 +17,31 @@ instance is reserved for that level. ``threshold_fraction = 1`` is the
 classic deterministic break-even rule; smaller fractions give the
 aggressive variant.
 
-The schedule visits only the (hour, level) pairs that can matter, and
-is exactly the hour-by-hour rule's:
+The schedule jumps from one event to the next, a reservation expiring
+or a level firing, and is exactly the hour-by-hour rule's
+(``tests/purchasing/purchasing_reference.py`` keeps that loop):
 
 * A level reaches its trigger only if at least ``trigger`` hours of the
   horizon have demand above it, so levels at or above ``L``, the
   ``trigger``-th largest demand, never fire and are never tracked.
-* A window is read only right after an append at the same hour, so
-  hours with no uncovered level change nothing and are skipped. The
-  active count changes only at a reservation or an expiry; between two
-  such events one vector search finds every hour whose capped demand
-  ``min(d, L)`` exceeds it.
-* A reservation made inside such a segment only raises the count, so
-  later candidates it covers are skipped. Its own expiry can fall inside
-  the segment, when no earlier reservation is pending, and then ends
-  the segment.
+* A level fires on its own appends since it last fired, ``x``, and on
+  nothing else: at the first new append ``x[i]`` that closes ``trigger``
+  of them inside the window, ``x[i] − x[i − trigger + 1] < window``.
+  While it stays uncovered it appends at exactly its busy hours, the
+  hours whose capped demand ``min(d, L)`` exceeds it, whatever the other
+  levels do. So one vector comparison over those hours plans the hour
+  it fires, and a level is planned again only when it fires or is
+  uncovered by an expiry.
+* Coverage changes only at events. The next one is the earliest planned
+  firing or the next expiry, the expiry first on a tie, as the hourly
+  loop advances its pool before it appends. Every uncovered level
+  planned for that hour fires there, since the hourly loop appends all
+  uncovered levels before any fires. The active count then rises by
+  their number, and the levels it covers keep their appends up to that
+  hour.
+* A window that ends at a new append reaches back at most
+  ``trigger − 1`` earlier ones, so a covered level keeps only that many,
+  and working memory stays within ``O(horizon + levels × trigger)``.
 """
 
 from __future__ import annotations
@@ -49,6 +59,30 @@ from repro.purchasing.base import (
     validated_schedule,
 )
 
+_NO_HOURS = np.empty(0, dtype=np.int64)
+
+
+def checked_threshold_fraction(value: object) -> float:
+    """A real number in (0, 1]; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise SimulationError(f"threshold_fraction must be a number, got {value!r}")
+    if not 0.0 < value <= 1.0:
+        raise SimulationError(f"threshold_fraction must lie in (0, 1], got {value!r}")
+    return float(value)
+
+
+def checked_window_hours(value: object) -> "int | None":
+    """None, or a whole number of hours >= 1; bools are refused."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SimulationError(f"window_hours must be an integer, got {value!r}")
+    if value < 1:
+        raise SimulationError(f"window_hours must be positive, got {value!r}")
+    return int(value)
+
 
 class OnlineBreakEven(PurchasingAlgorithm):
     """Deterministic break-even (ski-rental style) online purchasing.
@@ -61,7 +95,8 @@ class OnlineBreakEven(PurchasingAlgorithm):
         the paper's fourth imitator uses a smaller value.
     window_hours:
         Length of the sliding window in which on-demand hours are
-        counted; defaults to one reservation period.
+        counted, a whole number of hours; defaults to one reservation
+        period.
     """
 
     def __init__(
@@ -70,16 +105,8 @@ class OnlineBreakEven(PurchasingAlgorithm):
         window_hours: "int | None" = None,
         name: str = "Online-BreakEven",
     ) -> None:
-        if not 0.0 < threshold_fraction <= 1.0:
-            raise SimulationError(
-                f"threshold_fraction must lie in (0, 1], got {threshold_fraction!r}"
-            )
-        if window_hours is not None and window_hours <= 0:
-            raise SimulationError(
-                f"window_hours must be positive, got {window_hours!r}"
-            )
-        self.threshold_fraction = threshold_fraction
-        self.window_hours = window_hours
+        self.threshold_fraction = checked_threshold_fraction(threshold_fraction)
+        self.window_hours = checked_window_hours(window_hours)
         self.name = name
 
     def trigger_hours(self, plan: PricingPlan) -> int:
@@ -98,35 +125,64 @@ class OnlineBreakEven(PurchasingAlgorithm):
             return validated_schedule(n, horizon)
         ceiling = int(np.partition(values, horizon - trigger)[horizon - trigger])
         capped = np.minimum(values, ceiling)
-        # Per tracked level: recent on-demand hours (sliding window).
-        histories: list[deque[int]] = [deque() for _ in range(ceiling)]
+        keep = trigger - 1
+        # Per tracked level: the hour it appends from, its last ``keep``
+        # appends before that hour since it last fired (the most a
+        # window ending at a new append reaches back), and the hour it
+        # fires if it stays uncovered (``horizon``: never).
+        since = [0] * ceiling
+        histories = [_NO_HOURS] * ceiling
+        due = np.full(ceiling, horizon, dtype=np.int64)
+
+        def plan(level: int, start: int) -> None:
+            """Plan when ``level`` fires, uncovered from ``start`` on."""
+            history = histories[level]
+            hours = np.concatenate(
+                (history, (capped[start:] > level).nonzero()[0] + start)
+            )
+            since[level] = start
+            due[level] = horizon
+            first = max(history.size, keep)  # the first new append with a full window
+            if hours.size > first:
+                inside = hours[first:] - hours[first - keep:hours.size - keep] < window
+                hit = int(inside.argmax())
+                if inside[hit]:
+                    due[level] = hours[first + hit]
+
+        def cover(level: int, hour: int) -> None:
+            """Keep the appends of ``level``, covered after ``hour``."""
+            start = since[level]
+            busy = (capped[start:hour + 1] > level).nonzero()[0] + start
+            kept = np.concatenate((histories[level], busy))
+            histories[level] = kept[-keep:] if keep else _NO_HOURS
+
+        for level in range(ceiling):
+            plan(level, 0)
         expiries: deque[tuple[int, int]] = deque()  # (expiry hour, count)
         active = 0
-        hour = 0
-        while hour < horizon:
-            while expiries and expiries[0][0] <= hour:
-                active -= expiries.popleft()[1]
-            end = expiries[0][0] if expiries else horizon
-            segment = capped[hour:end]
-            uncovered = np.flatnonzero(segment > active)
-            for t, top in zip((uncovered + hour).tolist(), segment[uncovered].tolist()):
-                if t >= end:
-                    break
-                new_reservations = 0
-                for level in range(active, top):
-                    history = histories[level]
-                    history.append(t)
-                    while history[0] <= t - window:
-                        history.popleft()
-                    if len(history) >= trigger:
-                        new_reservations += 1
-                        history.clear()
-                if new_reservations:
-                    n[t] = new_reservations
-                    active += new_reservations
-                    expiries.append((t + period, new_reservations))
-                    end = min(end, t + period)
-            hour = end
+        while True:
+            firing = int(due[active:].min()) if active < ceiling else horizon
+            if expiries and expiries[0][0] <= firing:
+                hour, count = expiries.popleft()
+                for level in range(active - count, active):
+                    plan(level, hour)
+                active -= count
+                continue
+            if firing == horizon:
+                break
+            fired = (np.flatnonzero(due[active:] == firing) + active).tolist()
+            for level in fired:
+                histories[level] = _NO_HOURS
+                since[level] = firing + 1
+            covered = active + len(fired)
+            for level in range(active, covered):
+                cover(level, firing)
+            for level in fired:
+                if level >= covered:
+                    plan(level, firing + 1)
+            n[firing] = len(fired)
+            active = covered
+            expiries.append((firing + period, len(fired)))
         return validated_schedule(n, horizon)
 
 
@@ -139,7 +195,7 @@ def aggressive_online_purchasing(
     threshold_fraction: float = 0.5,
 ) -> OnlineBreakEven:
     """The paper's fourth imitator: the smaller-β variant."""
-    if not 0.0 < threshold_fraction < 1.0:
+    if checked_threshold_fraction(threshold_fraction) == 1.0:
         raise SimulationError(
             f"the aggressive variant needs threshold_fraction in (0, 1), "
             f"got {threshold_fraction!r}"

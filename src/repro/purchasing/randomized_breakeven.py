@@ -21,7 +21,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
     ActiveReservationTracker,
@@ -29,6 +28,7 @@ from repro.purchasing.base import (
     demands_array,
     validated_schedule,
 )
+from repro.purchasing.online_breakeven import checked_window_hours
 
 #: The randomized ski-rental competitive ratio, e/(e−1).
 SKI_RENTAL_RATIO = math.e / (math.e - 1.0)
@@ -52,12 +52,8 @@ class RandomizedBreakEven(PurchasingAlgorithm):
     """
 
     def __init__(self, seed: int = 0, window_hours: "int | None" = None) -> None:
-        if window_hours is not None and window_hours <= 0:
-            raise SimulationError(
-                f"window_hours must be positive, got {window_hours!r}"
-            )
         self.seed = seed
-        self.window_hours = window_hours
+        self.window_hours = checked_window_hours(window_hours)
         self.name = "Randomized-BreakEven"
 
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:

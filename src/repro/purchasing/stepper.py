@@ -27,7 +27,11 @@ from repro.pricing.plan import PricingPlan
 from repro.purchasing.all_reserved import AllReserved
 from repro.purchasing.base import PurchasingAlgorithm
 from repro.purchasing.ondemand_only import OnDemandOnly
-from repro.purchasing.online_breakeven import OnlineBreakEven
+from repro.purchasing.online_breakeven import (
+    OnlineBreakEven,
+    checked_threshold_fraction,
+    checked_window_hours,
+)
 from repro.purchasing.random_reservation import RandomReservation
 
 
@@ -79,11 +83,8 @@ class BreakEvenStepper(PurchasingStepper):
         self, plan: PricingPlan, threshold_fraction: float = 1.0,
         window_hours: "int | None" = None,
     ) -> None:
-        if not 0.0 < threshold_fraction <= 1.0:
-            raise SimulationError(
-                f"threshold_fraction must lie in (0, 1], got {threshold_fraction!r}"
-            )
-        self._window = window_hours or plan.period_hours
+        threshold_fraction = checked_threshold_fraction(threshold_fraction)
+        self._window = checked_window_hours(window_hours) or plan.period_hours
         self._trigger = max(
             math.ceil(threshold_fraction * plan.break_even_hours), 1
         )

@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.errors import TraceLengthError, WorkloadError
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class DemandTrace:
     """An hourly instance-demand series ``d_0, d_1, ..., d_{H-1}``.
@@ -26,23 +28,33 @@ class DemandTrace:
     __slots__ = ("_values", "name", "_cv")
 
     def __init__(self, values: Iterable[int], name: str = "") -> None:
-        array = np.array(values, copy=True)
+        array = np.asarray(values)
         if array.ndim != 1:
             raise WorkloadError(f"a demand trace must be 1-D, got shape {array.shape}")
         if array.size == 0:
             raise WorkloadError("a demand trace must contain at least one hour")
         if not np.issubdtype(array.dtype, np.number):
             raise WorkloadError(f"demands must be numeric, got dtype {array.dtype}")
-        as_float = array.astype(np.float64)
-        if np.any(~np.isfinite(as_float)):
-            raise WorkloadError("demands must be finite")
-        if np.any(as_float < 0):
-            raise WorkloadError("demands must be non-negative")
-        rounded = np.rint(as_float).astype(np.int64)
-        if not np.allclose(as_float, rounded):
-            raise WorkloadError("demands must be whole instance counts")
-        rounded.flags.writeable = False
-        self._values = rounded
+        if np.issubdtype(array.dtype, np.integer):
+            # Taken exactly: a float round trip would round past 2**53.
+            if array.dtype.kind == "u" and array.max() > np.uint64(_INT64_MAX):
+                raise WorkloadError(
+                    f"demands must lie in the int64 range [0, {_INT64_MAX}]"
+                )
+            if array.dtype.kind == "i" and array.min() < 0:
+                raise WorkloadError("demands must be non-negative")
+            exact = array.astype(np.int64)
+        else:
+            as_float = array.astype(np.float64)
+            if np.any(~np.isfinite(as_float)):
+                raise WorkloadError("demands must be finite")
+            if np.any(as_float < 0):
+                raise WorkloadError("demands must be non-negative")
+            exact = np.rint(as_float).astype(np.int64)
+            if not np.allclose(as_float, exact):
+                raise WorkloadError("demands must be whole instance counts")
+        exact.flags.writeable = False
+        self._values = exact
         self.name = name
         self._cv: "float | None" = None
 

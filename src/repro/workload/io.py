@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+from typing import List, Tuple
 
 import numpy as np
 
@@ -28,23 +29,75 @@ from repro.workload.base import DemandTrace
 from repro.workload.google import UserResourceTrace
 
 
-def _open_rows(path) -> list[list[str]]:
+#: The longest horizon a loader builds, in hours (about 114 years). A
+#: file implies its horizon by its largest hour, and one past this is
+#: refused before anything is allocated: a stray ``1e18`` would ask for
+#: exabytes.
+MAX_HORIZON_HOURS = 1_000_000
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+#: One data row: its line number in the file and its cells.
+Row = Tuple[int, List[str]]
+
+
+def _open_rows(path) -> List[Row]:
     path = Path(path)
     if not path.exists():
         raise WorkloadError(f"no such trace file: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
+        reader = csv.reader(handle)
+        rows = [
+            (reader.line_num, row)
+            for row in reader
+            if row and not row[0].startswith("#")
+        ]
     if not rows:
         raise WorkloadError(f"trace file {path} is empty")
     return rows
 
 
-def _skip_header(rows: list[list[str]]) -> list[list[str]]:
+def _skip_header(rows: List[Row]) -> List[Row]:
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
         return rows[1:]
     return rows
+
+
+def _cell(row: Row, column: int, what: str, whole: bool = True) -> "int | float":
+    """Cell ``column`` of a data row as a finite number: a non-negative
+    whole number (hours and instance counts, exact past 2**53) unless
+    ``whole`` is false. Every refusal names the line."""
+    line, cells = row
+    if column >= len(cells):
+        raise WorkloadError(f"line {line}: no {what} in {cells!r}")
+    text = cells[column]
+    try:
+        value = float(text)
+    except ValueError:
+        raise WorkloadError(f"line {line}: {what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise WorkloadError(f"line {line}: {what} must be finite, got {text!r}")
+    if not whole:
+        return value
+    try:
+        number: "int | None" = int(text)
+    except ValueError:
+        number = int(value) if value.is_integer() else None
+    if number is None or not 0 <= number <= _INT64_MAX:
+        raise WorkloadError(
+            f"line {line}: {what} must be a whole number in [0, 2**63), got {text!r}"
+        )
+    return number
+
+
+def _require_horizon(horizon: int) -> None:
+    if horizon > MAX_HORIZON_HOURS:
+        raise WorkloadError(
+            f"a horizon of {horizon} hours exceeds MAX_HORIZON_HOURS "
+            f"({MAX_HORIZON_HOURS})"
+        )
 
 
 def load_demand_csv(path: "str | Path", name: str = "") -> DemandTrace:
@@ -57,20 +110,16 @@ def load_demand_csv(path: "str | Path", name: str = "") -> DemandTrace:
     rows = _skip_header(_open_rows(path))
     if not rows:
         raise WorkloadError(f"trace file {path} has a header but no data")
-    width = len(rows[0])
-    if width == 1:
-        demands = [float(row[0]) for row in rows]
-        return DemandTrace(demands, name=name or Path(path).stem)
-    if width >= 2:
-        pairs = [(int(float(row[0])), float(row[1])) for row in rows]
-        if any(hour < 0 for hour, _ in pairs):
-            raise WorkloadError("hour indices must be non-negative")
-        horizon = max(hour for hour, _ in pairs) + 1
-        demands = np.zeros(horizon)
-        for hour, demand in pairs:
-            demands[hour] = demand
-        return DemandTrace(demands, name=name or Path(path).stem)
-    raise WorkloadError(f"cannot interpret rows of width {width}")
+    name = name or Path(path).stem
+    if len(rows[0][1]) == 1:
+        return DemandTrace([_cell(row, 0, "demand") for row in rows], name=name)
+    pairs = [(_cell(row, 0, "hour"), _cell(row, 1, "demand")) for row in rows]
+    horizon = max(hour for hour, _ in pairs) + 1
+    _require_horizon(horizon)
+    demands = np.zeros(horizon, dtype=np.int64)
+    for hour, demand in pairs:
+        demands[hour] = demand
+    return DemandTrace(demands, name=name)
 
 
 def save_demand_csv(trace: DemandTrace, path: "str | Path") -> None:
@@ -93,19 +142,16 @@ def load_usage_log(path: "str | Path", horizon: "int | None" = None, name: str =
     rows = _skip_header(_open_rows(path))
     events = []
     for row in rows:
-        if len(row) < 2:
-            raise WorkloadError(f"usage-log rows need start,end[,count]: {row!r}")
-        start, end = int(float(row[0])), int(float(row[1]))
-        count = int(float(row[2])) if len(row) > 2 else 1
-        if start < 0 or end < start:
-            raise WorkloadError(f"bad event interval [{start}, {end})")
-        if count < 0:
-            raise WorkloadError(f"negative event count: {count}")
+        start, end = _cell(row, 0, "start"), _cell(row, 1, "end")
+        count = _cell(row, 2, "count") if len(row[1]) > 2 else 1
+        if end < start:
+            raise WorkloadError(f"line {row[0]}: bad event interval [{start}, {end})")
         events.append((start, end, count))
     inferred = max((end for _, end, _ in events), default=0)
     horizon = horizon if horizon is not None else inferred
     if horizon <= 0:
         raise WorkloadError("cannot infer a positive horizon from the log")
+    _require_horizon(horizon)
     demands = np.zeros(horizon + 1, dtype=np.int64)
     for start, end, count in events:
         if start >= horizon:
@@ -122,14 +168,16 @@ def load_resource_csv(path: "str | Path", user_id: str = "") -> UserResourceTrac
     for the paper's preprocessing step.
     """
     rows = _skip_header(_open_rows(path))
-    parsed = []
-    for row in rows:
-        if len(row) < 4:
-            raise WorkloadError(f"resource rows need hour,cpu,memory,disk: {row!r}")
-        parsed.append((int(float(row[0])), *(float(v) for v in row[1:4])))
-    if any(not math.isfinite(v) for _, *values in parsed for v in values):
-        raise WorkloadError("resource requests must be finite")
+    parsed = [
+        (
+            _cell(row, 0, "hour"),
+            *(_cell(row, column, what, whole=False)
+              for column, what in enumerate(("cpu", "memory", "disk"), start=1)),
+        )
+        for row in rows
+    ]
     horizon = max(hour for hour, *_ in parsed) + 1
+    _require_horizon(horizon)
     cpu = np.zeros(horizon)
     memory = np.zeros(horizon)
     disk = np.zeros(horizon)

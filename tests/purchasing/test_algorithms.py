@@ -12,6 +12,7 @@ from repro.purchasing.online_breakeven import (
     wang_online_purchasing,
 )
 from repro.purchasing.random_reservation import RandomReservation
+from repro.purchasing.stepper import BreakEvenStepper
 from repro.workload.base import DemandTrace
 
 
@@ -110,6 +111,40 @@ class TestOnlineBreakEven:
             OnlineBreakEven(window_hours=0)
         with pytest.raises(SimulationError):
             aggressive_online_purchasing(1.0)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"window_hours": 2.5},
+            {"window_hours": True},
+            {"window_hours": float("inf")},
+            {"window_hours": "24"},
+            {"window_hours": -3},
+            {"threshold_fraction": True},
+            {"threshold_fraction": "0.5"},
+            {"threshold_fraction": float("nan")},
+            {"threshold_fraction": float("inf")},
+            {"threshold_fraction": 1.5},
+            {"threshold_fraction": None},
+        ],
+    )
+    def test_refuses_arguments_it_cannot_mean(self, arguments, scaled_plan):
+        with pytest.raises(SimulationError):
+            OnlineBreakEven(**arguments)
+        with pytest.raises(SimulationError):
+            BreakEvenStepper(scaled_plan, **arguments)
+        if "threshold_fraction" in arguments:
+            with pytest.raises(SimulationError):
+                aggressive_online_purchasing(arguments["threshold_fraction"])
+
+    def test_accepts_numpy_numbers(self, scaled_plan):
+        algorithm = OnlineBreakEven(
+            threshold_fraction=np.float64(0.5), window_hours=np.int64(96)
+        )
+        assert algorithm.window_hours == 96 and type(algorithm.window_hours) is int
+        assert algorithm.trigger_hours(scaled_plan) == OnlineBreakEven(0.5).trigger_hours(
+            scaled_plan
+        )
 
 
 class TestOnDemandOnly:

@@ -2,8 +2,8 @@
 
 ``AllReserved`` and ``RandomReservation`` top the pool up with one
 running maximum per period, Random-Reservation replaying its draws from
-raw PCG64 words; ``OnlineBreakEven`` visits only the (hour, level) pairs
-that can fire. ``tests.purchasing.purchasing_reference`` keeps the loops
+raw PCG64 words; ``OnlineBreakEven`` jumps from one firing or expiry
+to the next. ``tests.purchasing.purchasing_reference`` keeps the loops
 that step every hour, and every schedule must be equal to theirs with
 ``np.array_equal``. The seeded corpus mixes periods of 2–80 hours,
 horizons shorter than a period and not a multiple of it, five demand
@@ -13,6 +13,7 @@ Random-Reservation demands in ``[2³⁰, 2³² − 2]``, where Lemire's method
 often draws again.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -176,6 +177,71 @@ def test_corpus_reaches_every_axis():
     assert fired >= 300
     assert huge >= 100
     assert redrawn >= 20
+
+
+#: The cases the break-even event loop treats differently from the
+#: hourly loop, each of which the corpus must keep reaching.
+BREAKEVEN_EDGES = (
+    "several levels fire in one hour",
+    "a level fires at an expiry hour",
+    "a level fires above an unfired lowest uncovered level",
+    "a level uncovered at an expiry holds in-window history",
+    "trigger of one hour",
+    "trigger beyond the horizon",
+    "window shorter than the trigger",
+)
+
+
+def breakeven_edges(case: Case) -> "set[str]":
+    """The entries of ``BREAKEVEN_EDGES`` one break-even case reaches,
+    from a replay of the hourly rule that also watches its levels."""
+    algorithm, plan, values = case.algorithm, case.plan, case.demands.tolist()
+    horizon, period = len(values), plan.period_hours
+    window = algorithm.window_hours or period
+    trigger = algorithm.trigger_hours(plan)
+    edges = set()
+    if trigger == 1:
+        edges.add("trigger of one hour")
+    if trigger > horizon:
+        edges.add("trigger beyond the horizon")
+    elif window < trigger:
+        edges.add("window shorter than the trigger")
+    histories: "dict[int, list[int]]" = {}
+    expiries: "list[tuple[int, int]]" = []
+    active = 0
+    for hour, demand in enumerate(values):
+        covered = active
+        active -= sum(count for end, count in expiries if end == hour)
+        for level in range(active, covered):
+            if any(seen > hour - window for seen in histories.get(level, ())):
+                edges.add("a level uncovered at an expiry holds in-window history")
+        fired = []
+        for level in range(active, demand):
+            history = histories.setdefault(level, [])
+            history.append(hour)
+            history[:] = [seen for seen in history if seen > hour - window]
+            if len(history) >= trigger:
+                fired.append(level)
+                history.clear()
+        if not fired:
+            continue
+        if len(fired) > 1:
+            edges.add("several levels fire in one hour")
+        if active < covered:
+            edges.add("a level fires at an expiry hour")
+        if fired[0] > active:
+            edges.add("a level fires above an unfired lowest uncovered level")
+        active += len(fired)
+        expiries.append((hour + period, len(fired)))
+    return edges
+
+
+def test_breakeven_cases_reach_the_event_loops_edges():
+    reached = collections.Counter()
+    for case in CORPUS:
+        if isinstance(case.algorithm, OnlineBreakEven):
+            reached.update(breakeven_edges(case))
+    assert {edge: reached[edge] for edge in BREAKEVEN_EDGES if reached[edge] < 20} == {}
 
 
 def test_sweep_user_population_equals_the_hourly_loops():

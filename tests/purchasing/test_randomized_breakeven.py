@@ -70,3 +70,8 @@ class TestRandomizedBreakEven:
     def test_validation(self):
         with pytest.raises(SimulationError):
             RandomizedBreakEven(window_hours=0)
+
+    @pytest.mark.parametrize("window_hours", [2.5, True, float("inf"), "24"])
+    def test_window_must_be_whole_hours(self, window_hours):
+        with pytest.raises(SimulationError):
+            RandomizedBreakEven(window_hours=window_hours)

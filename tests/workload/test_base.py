@@ -1,6 +1,8 @@
 """Unit tests for repro.workload.base (DemandTrace)."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,56 @@ class TestConstruction:
     def test_rejects_non_numeric(self):
         with pytest.raises(WorkloadError):
             DemandTrace(["a", "b"])
+
+
+class TestIntegerInput:
+    """Integer input is taken exactly, with no float round trip."""
+
+    def test_past_two_to_the_53_is_exact(self):
+        assert DemandTrace(np.array([2**53 + 1]))[0] == 2**53 + 1
+        assert DemandTrace([2**53 + 1, 0])[0] == 2**53 + 1
+
+    def test_int64_max_is_accepted(self):
+        assert DemandTrace(np.array([2**63 - 1]))[0] == 2**63 - 1
+
+    def test_narrow_and_unsigned_dtypes_become_int64(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            trace = DemandTrace(np.array([0, 7], dtype=dtype))
+            assert trace.values.dtype == np.int64 and list(trace) == [0, 7]
+
+    def test_uint64_past_int64_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WorkloadError, match=r"int64 range \[0, 9223372036854775807\]"):
+                DemandTrace(np.array([1, 2**63 + 5], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1, -1], "demands must be non-negative"),
+            (np.array([3, -2], dtype=np.int16), "demands must be non-negative"),
+            ([], "a demand trace must contain at least one hour"),
+            (np.zeros((2, 2), dtype=np.int64), "a demand trace must be 1-D, got shape (2, 2)"),
+            (["a", "b"], "demands must be numeric, got dtype <U1"),
+            ([True, False], "demands must be numeric, got dtype bool"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, values, message):
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            DemandTrace(values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.5], "demands must be whole instance counts"),
+            ([1.0, float("nan")], "demands must be finite"),
+            ([float("inf")], "demands must be finite"),
+            ([-1.0], "demands must be non-negative"),
+        ],
+    )
+    def test_float_input_keeps_its_checks(self, values, message):
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            DemandTrace(values)
 
 
 class TestContainerBehaviour:

@@ -1,11 +1,14 @@
 """Unit tests for repro.workload.io (bring-your-own-trace loaders)."""
 
+import re
+
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.base import DemandTrace
 from repro.workload.google import MachineCapacity, resources_to_demand
 from repro.workload.io import (
+    MAX_HORIZON_HOURS,
     load_demand_csv,
     load_resource_csv,
     load_usage_log,
@@ -110,3 +113,41 @@ class TestResourceCsv:
         path.write_text("0,0.2\n")
         with pytest.raises(WorkloadError):
             load_resource_csv(path)
+
+
+BAD_FILES = {
+    "demand not a number": (load_demand_csv, "3\nabc\n", "line 2: demand 'abc'"),
+    "demand nan": (load_demand_csv, "3\nnan\n", "line 2: demand must be finite"),
+    "demand fractional": (load_demand_csv, "3\n1.5\n", "line 2: demand must be a whole"),
+    "pair row too short": (load_demand_csv, "hour,demand\n0,2\n5\n", "line 3: no demand"),
+    "pair hour nan": (load_demand_csv, "0,2\nnan,1\n", "line 2: hour must be finite"),
+    "pair hour fractional": (load_demand_csv, "0,2\n1.5,1\n", "line 2: hour must be a whole"),
+    "pair hour negative": (load_demand_csv, "-1,3\n", "line 1: hour must be a whole"),
+    "pair hour huge": (load_demand_csv, "hour,demand\n1e18,2\n", "MAX_HORIZON_HOURS"),
+    "log end nan": (load_usage_log, "0,nan\n", "line 1: end must be finite"),
+    "log count inf": (load_usage_log, "0,2,inf\n", "line 1: count must be finite"),
+    "log count fractional": (load_usage_log, "0,2,1.5\n", "line 1: count must be a whole"),
+    "log start not a number": (load_usage_log, "# launches\n0,1\nx1,2\n", "line 3: start 'x1'"),
+    "log end huge": (load_usage_log, "0,1e18\n", "MAX_HORIZON_HOURS"),
+    "log horizon huge": (load_usage_log, "0,2\n", "MAX_HORIZON_HOURS"),
+    "resource hour huge": (load_resource_csv, "1e18,0.1,0.1,0.1\n", "MAX_HORIZON_HOURS"),
+    "resource hour negative": (load_resource_csv, "-1,0.1,0.1,0.1\n", "line 1: hour"),
+    "resource cpu not a number": (load_resource_csv, "0,abc,0.1,0.1\n", "line 1: cpu 'abc'"),
+    "resource disk nan": (load_resource_csv, "0,0.1,0.1,nan\n", "line 1: disk must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_files_raise_workload_errors_that_name_the_line(case, tmp_path):
+    loader, text, message = BAD_FILES[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    keywords = {"horizon": MAX_HORIZON_HOURS + 1} if case == "log horizon huge" else {}
+    with pytest.raises(WorkloadError, match=re.escape(message)):
+        loader(path, **keywords)
+
+
+def test_whole_numbers_are_read_exactly(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{2**53 + 1}\n4.0\n")
+    assert list(load_demand_csv(path)) == [2**53 + 1, 4]
