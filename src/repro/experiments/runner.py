@@ -1,29 +1,35 @@
-"""The policy sweep: every user × every policy, via the fast engine.
+"""The policy sweep: every user × every policy, via the batch engine.
 
 This is the computation behind Figs. 3/4 and Tables II/III: for each user
 of the population, run the three online selling algorithms, the two
-benchmarks (Keep-Reserved, All-Selling at each decision spot), and
-optionally the offline optimum, then collect per-user total costs.
+benchmarks (Keep-Reserved, All-Selling at each decision spot), the extra
+policy specs of ``ExperimentConfig.policies``, and optionally the
+offline optimum, then collect per-user total costs.
 
-The sweep executes through :mod:`repro.parallel`: work units fan out over
-a process pool (``workers=1`` keeps the plain in-process loop, so serial
-results are bit-identical to the historical path), and an optional
-on-disk cache under ``.repro_cache/`` skips users whose outcome is
-already known for this exact ``(config, trace, reservations, policy set,
-engine version)``. See ``docs/parallel_execution.md``.
+The policies form one table of sweep columns, built once per sweep. The
+sweep fans picklable tasks out through :mod:`repro.parallel`
+(``workers=1`` keeps the plain in-process loop); the engine picks only
+the worker and the task size. ``engine="user"`` runs one user per task
+through ``run_fast``; ``engine="population"`` stacks a block of users
+and runs each column once over it. An optional on-disk cache under
+``.repro_cache/`` skips users whose outcome is already known for this
+exact ``(config, trace, reservations, policy set, engine version)``.
+See ``docs/parallel_execution.md``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.analysis.normalize import normalize_costs
 from repro.core.account import CostModel
+from repro.core.cancellation import CancellationModel
 from repro.core.clearing import ClearingModel
 from repro.core.fastsim import ENGINE_VERSION, FastPolicyKind, run_fast
 from repro.core.offline import run_offline_optimal
@@ -44,9 +50,10 @@ from repro.parallel.pool import CHUNKS_PER_WORKER, parallel_map, resolve_workers
 from repro.parallel.timing import StageTimer, SweepTiming
 from repro.workload.groups import FluctuationGroup
 
-#: The sweep execution engines: per-user ``run_fast`` (the oracle) and
-#: the population-tensor path of :mod:`repro.core.popsim`. Outcomes are
-#: bit-identical either way; only the throughput differs.
+#: The sweep execution engines: one ``run_fast`` call per (user, policy),
+#: or one ``run_population`` call per (user-block, policy). Both drive
+#: :func:`repro.core.popsim.run_block`, so outcomes are bit-identical
+#: either way; only the throughput differs.
 SWEEP_ENGINES = ("user", "population")
 
 #: Schema version of the cached per-user payload (bump on shape changes).
@@ -156,129 +163,96 @@ class SweepResult:
                 writer.writerow(row)
 
 
-def _simulate_spec_policy(
-    spec_text: str,
-    demands: np.ndarray,
-    reservations: np.ndarray,
-    model: CostModel,
-    user_id: str,
-    clearing: "ClearingModel | None",
-) -> "tuple[str, float, int, int]":
-    """Run one extra spec policy for one user through ``run_fast``.
+class _Column(NamedTuple):
+    """One policy of the sweep: its display name and engine arguments.
 
-    The spec-kind dispatch shared by both execution engines: a
-    randomized spec draws its φ from the per-user stream (keyed by
-    ``user_id``, the same key the population path uses) and then *is*
-    the deterministic online run at that φ; a cancellation spec is the
-    online run plus the re-buy post-pass. Returns
-    ``(name, total_cost, sold, cleared)``.
+    A randomized column draws each user's φ from ``randomized`` (keyed
+    by user id) and runs the online rule at it; every other column runs
+    at ``phi``.
     """
-    policy = PolicySpec(spec_text).build()
-    if isinstance(policy, _policies.KeepReservedPolicy):
-        result = run_fast(
-            demands, reservations, model, kind=FastPolicyKind.KEEP_RESERVED
-        )
-        return policy.name, result.total_cost, 0, 0
-    if isinstance(policy, _policies.RandomizedSellingPolicy):
-        result = run_fast(
-            demands, reservations, model, phi=policy.draw_spot(user_id),
-            clearing=clearing, clearing_key=user_id,
-        )
-    elif isinstance(policy, _policies.CancellationAwareSellingPolicy):
-        result = run_fast(
-            demands, reservations, model, phi=policy.phi,
-            threshold_scale=policy.threshold_scale,
-            clearing=clearing, clearing_key=user_id,
-            cancellation=policy.cancellation,
-        )
-    elif isinstance(policy, _policies.AllSellingPolicy):
-        result = run_fast(
-            demands, reservations, model, phi=policy.phi,
-            kind=FastPolicyKind.ALL_SELLING,
-            clearing=clearing, clearing_key=user_id,
-        )
-    else:
-        result = run_fast(
-            demands, reservations, model, phi=policy.phi,
-            threshold_scale=policy.threshold_scale,
-            clearing=clearing, clearing_key=user_id,
-        )
-    return (
-        policy.name,
-        result.total_cost,
-        result.instances_sold,
-        result.instances_cleared,
-    )
+
+    name: str
+    kind: FastPolicyKind = FastPolicyKind.ONLINE
+    phi: float = 0.75
+    threshold_scale: float = 1.0
+    cancellation: "CancellationModel | None" = None
+    randomized: "_policies.RandomizedSellingPolicy | None" = None
 
 
-def _simulate_user(
-    user: ExperimentUser,
-    model: CostModel,
-    include_opt: bool,
-    include_all_selling: bool,
-    clearing: "ClearingModel | None" = None,
-    extra_policies: "tuple[str, ...]" = (),
-) -> UserOutcome:
-    """Run every policy for one user against a prebuilt cost model.
-
-    With a clearing model the online and all-selling policies run under
-    stochastic sale clearing (each user's draw stream is keyed by
-    ``user_id``, so outcomes survive any re-batching); the offline
-    optimum stays the paper's instant-sale baseline — the clairvoyant
-    benchmark the degradation is measured against. ``extra_policies``
-    (canonical spec strings, from ``ExperimentConfig.policies``) run
-    after the standard set and before OPT.
-    """
-    demands = user.schedule.demands.values
-    reservations = user.schedule.reservations
-    costs: dict[str, float] = {}
-    sold: dict[str, int] = {}
-    cleared: "dict[str, int] | None" = {} if clearing is not None else None
-
-    keep = run_fast(demands, reservations, model, kind=FastPolicyKind.KEEP_RESERVED)
-    costs[_policies.POLICY_KEEP] = keep.total_cost
-    sold[_policies.POLICY_KEEP] = 0
-    if cleared is not None:
-        cleared[_policies.POLICY_KEEP] = 0
-
-    for name, phi in _policies.ONLINE_POLICIES.items():
-        result = run_fast(
-            demands, reservations, model, phi=phi,
-            clearing=clearing, clearing_key=user.user_id,
-        )
-        costs[name] = result.total_cost
-        sold[name] = result.instances_sold
-        if cleared is not None:
-            cleared[name] = result.instances_cleared
-
+def _sweep_columns(
+    config: ExperimentConfig, include_all_selling: bool
+) -> "tuple[_Column, ...]":
+    """The sweep's policies in column order: Keep-Reserved, the online
+    algorithms, All-Selling at each spot (when included), then the extra
+    specs of ``config.policies``. OPT, when included, comes last and is
+    added per user by :func:`_outcome`."""
+    columns = [_Column(_policies.POLICY_KEEP, FastPolicyKind.KEEP_RESERVED)]
+    columns += [
+        _Column(name, phi=phi) for name, phi in _policies.ONLINE_POLICIES.items()
+    ]
     if include_all_selling:
-        for name, phi in _policies.ALL_SELLING_POLICIES.items():
-            result = run_fast(
-                demands, reservations, model, phi=phi,
-                kind=FastPolicyKind.ALL_SELLING,
-                clearing=clearing, clearing_key=user.user_id,
+        columns += [
+            _Column(name, FastPolicyKind.ALL_SELLING, phi)
+            for name, phi in _policies.ALL_SELLING_POLICIES.items()
+        ]
+    for spec_text in config.policies:
+        policy = PolicySpec(spec_text).build()
+        if isinstance(policy, _policies.RandomizedSellingPolicy):
+            column = _Column(policy.name, randomized=policy)
+        elif isinstance(policy, _policies.AllSellingPolicy):
+            column = _Column(policy.name, FastPolicyKind.ALL_SELLING, policy.phi)
+        else:
+            # An online or cancellation spec. The configuration refuses keep
+            # specs: their display name always collides with the standard set.
+            column = _Column(
+                policy.name,
+                phi=policy.phi,
+                threshold_scale=policy.threshold_scale,
+                cancellation=getattr(policy, "cancellation", None),
             )
-            costs[name] = result.total_cost
-            sold[name] = result.instances_sold
-            if cleared is not None:
-                cleared[name] = result.instances_cleared
+        columns.append(column)
+    return tuple(columns)
 
-    for spec_text in extra_policies:
-        name, total, sold_count, cleared_count = _simulate_spec_policy(
-            spec_text, demands, reservations, model, user.user_id, clearing
+
+@dataclass(frozen=True)
+class _SweepTask:
+    """One picklable unit of sweep work: some users under every column."""
+
+    users: "tuple[ExperimentUser, ...]"
+    columns: "tuple[_Column, ...]"
+    model: CostModel
+    include_opt: bool
+    clearing: "ClearingModel | None"
+
+
+def _outcome(
+    task: _SweepTask,
+    user: ExperimentUser,
+    totals: "Sequence[float]",
+    sold: "Sequence[int]",
+    cleared: "Sequence[int]",
+) -> UserOutcome:
+    """One user's outcome from its column values, in column order.
+
+    ``cleared`` is read only under a clearing model. OPT runs here, per
+    user, and stays the instant-sale clairvoyant baseline under
+    clearing: the benchmark the degradation is measured against. Users
+    are not batched for OPT: each of its descents visits a user's
+    instances in order, so a cross-user lockstep would take as many
+    steps as the largest user has instances.
+    """
+    names = [column.name for column in task.columns]
+    costs = dict(zip(names, totals))
+    sold_counts = dict(zip(names, sold))
+    cleared_counts = None if task.clearing is None else dict(zip(names, cleared))
+    if task.include_opt:
+        opt = run_offline_optimal(
+            user.schedule.demands, user.schedule.reservations, task.model
         )
-        costs[name] = total
-        sold[name] = sold_count
-        if cleared is not None:
-            cleared[name] = cleared_count
-
-    if include_opt:
-        result = run_offline_optimal(user.schedule.demands, reservations, model)
-        costs[_policies.POLICY_OPT] = result.total_cost
-        sold[_policies.POLICY_OPT] = result.instances_sold
-        if cleared is not None:
-            cleared[_policies.POLICY_OPT] = result.instances_sold
-
+        costs[_policies.POLICY_OPT] = opt.total_cost
+        sold_counts[_policies.POLICY_OPT] = opt.instances_sold
+        if cleared_counts is not None:
+            cleared_counts[_policies.POLICY_OPT] = opt.instances_sold
     return UserOutcome(
         user_id=user.user_id,
         group=user.group,
@@ -286,9 +260,76 @@ def _simulate_user(
         imitator=user.imitator_name,
         instances_reserved=user.schedule.total_reserved,
         costs=costs,
-        instances_sold=sold,
-        instances_cleared=cleared,
+        instances_sold=sold_counts,
+        instances_cleared=cleared_counts,
     )
+
+
+def _run_users(task: _SweepTask) -> "list[UserOutcome]":
+    """Worker of ``engine="user"``: ``run_fast`` once per (user, column),
+    with each user's clearing stream and randomized draw keyed by its id."""
+    model, clearing = task.model, task.clearing
+    outcomes: "list[UserOutcome]" = []
+    for user in task.users:
+        demands, reservations = user.schedule.demands.values, user.schedule.reservations
+        key = user.user_id
+        totals, sold, cleared = [], [], []
+        for _, kind, phi, threshold_scale, cancellation, randomized in task.columns:
+            # Read each result as it comes: holding every column's result
+            # (and its hourly arrays) at once made perfbench's paper-scale
+            # sweep-user sweep ~9% slower on a 2-core host.
+            result = run_fast(
+                demands, reservations, model,
+                phi if randomized is None else randomized.draw_spot(key),
+                kind, threshold_scale,
+                clearing=clearing, clearing_key=key, cancellation=cancellation,
+            )
+            totals.append(result.total_cost)
+            sold.append(result.instances_sold)
+            if clearing is not None:
+                cleared.append(result.instances_cleared)
+        outcomes.append(_outcome(task, user, totals, sold, cleared))
+    return outcomes
+
+
+def _run_block(task: _SweepTask) -> "list[UserOutcome]":
+    """Worker of ``engine="population"``: every column over the task's
+    users stacked into one ``(users × hours)`` block.
+
+    Validation and the policy-independent tensors (active timeline,
+    reservation prefix) are prepared once and shared by every column.
+    Clearing streams and randomized draws are keyed by user id, so
+    outcomes do not depend on how users are packed into blocks.
+    """
+    model, clearing = task.model, task.clearing
+    keys: "list[object]" = [user.user_id for user in task.users]
+    demands = np.stack([user.schedule.demands.values for user in task.users])
+    reservations = np.stack([user.schedule.reservations for user in task.users])
+    prepared = prepare_population(demands, reservations, model.period)
+    results = [
+        run_population(
+            demands, reservations, model, phi, kind, threshold_scale, prepared,
+            clearing=clearing, clearing_keys=keys, cancellation=cancellation,
+        )
+        if randomized is None
+        else run_population_randomized(
+            demands, reservations, model, randomized,
+            user_keys=keys, clearing=clearing, clearing_keys=keys,
+        )
+        for _, kind, phi, threshold_scale, cancellation, randomized in task.columns
+    ]
+    # Per user, its column values as Python floats and ints (no cleared
+    # values without a clearing model).
+    totals, sold, cleared = (
+        list(zip(*(values.tolist() for values in arrays)))
+        for arrays in (
+            [result.total_costs() for result in results],
+            [result.instances_sold for result in results],
+            [result.instances_cleared for result in results if clearing is not None],
+        )
+    )
+    rows = zip_longest(task.users, totals, sold, cleared, fillvalue=())
+    return [_outcome(task, *row) for row in rows]
 
 
 def run_user(
@@ -309,194 +350,17 @@ def run_user(
     if not isinstance(cost_model, CostModel):
         raise TypeError(f"model must be a CostModel, got {cost_model!r}")
     _validate_clearing(clearing)
-    return _simulate_user(
-        user, cost_model, include_opt, include_all_selling, clearing, config.policies
-    )
+    columns = _sweep_columns(config, include_all_selling)
+    task = _SweepTask((user,), columns, cost_model, include_opt, clearing)
+    return _run_users(task)[0]
 
 
-def _validate_clearing(clearing: object) -> "ClearingModel | None":
+def _validate_clearing(clearing: object) -> None:
     if clearing is not None and not isinstance(clearing, ClearingModel):
         raise ExperimentError(
             f"clearing must be a ClearingModel or None, got "
             f"{type(clearing).__name__}"
         )
-    return clearing
-
-
-# ----------------------------------------------------------------------
-# Parallel work units and result caching
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """One picklable unit of sweep work (one user, every policy)."""
-
-    user: ExperimentUser
-    model: CostModel
-    include_opt: bool
-    include_all_selling: bool
-    clearing: "ClearingModel | None" = None
-    #: Canonical spec strings (never pickled policy objects).
-    extra_policies: "tuple[str, ...]" = ()
-
-
-def _run_sweep_task(task: _SweepTask) -> UserOutcome:
-    """Module-level worker body, picklable for the process pool."""
-    return _simulate_user(
-        task.user, task.model, task.include_opt, task.include_all_selling,
-        task.clearing, task.extra_policies,
-    )
-
-
-@dataclass(frozen=True)
-class _PopulationBlockTask:
-    """One picklable block of population-engine work (B users × policies)."""
-
-    demands: np.ndarray  # (B, H) int64
-    reservations: np.ndarray  # (B, H) int64
-    model: CostModel
-    include_opt: bool
-    include_all_selling: bool
-    clearing: "ClearingModel | None" = None
-    #: Per-user clearing stream keys (the user ids), block order; keeps
-    #: draws independent of how users were packed into blocks.
-    clearing_keys: "tuple[str, ...] | None" = None
-    #: Canonical spec strings of the extra policies (never pickles).
-    extra_policies: "tuple[str, ...]" = ()
-    #: Per-user draw keys (the user ids), block order; set whenever
-    #: extra policies run so randomized draws survive any re-batching.
-    user_ids: "tuple[str, ...] | None" = None
-
-
-def _run_population_block(
-    task: _PopulationBlockTask,
-) -> "list[tuple[dict[str, float], dict[str, int], dict[str, int] | None]]":
-    """Module-level worker: every policy over one ``(B × H)`` tensor block.
-
-    Returns per-user ``(costs, instances_sold, instances_cleared)`` rows
-    in block order, with the policy dicts in the same insertion order as
-    :func:`_simulate_user` so the assembled outcomes compare equal to
-    the per-user path (``instances_cleared`` is ``None`` without a
-    clearing model).
-    """
-    d, n, model = task.demands, task.reservations, task.model
-    clearing, clearing_keys = task.clearing, task.clearing_keys
-    block_users = d.shape[0]
-    columns: "list[tuple[str, np.ndarray, np.ndarray, np.ndarray | None]]" = []
-
-    # Validation and the policy-independent tensors (active timeline,
-    # reservation prefix) are shared by every policy run of the block.
-    prepared = prepare_population(d, n, model.period)
-    zero_counts = np.zeros(block_users, dtype=np.int64)
-    keep = run_population(d, n, model, kind=FastPolicyKind.KEEP_RESERVED,
-                          precomputed=prepared)
-    columns.append(
-        (
-            _policies.POLICY_KEEP,
-            keep.total_costs(),
-            zero_counts,
-            zero_counts if clearing is not None else None,
-        )
-    )
-    for name, phi in _policies.ONLINE_POLICIES.items():
-        result = run_population(
-            d, n, model, phi=phi, precomputed=prepared,
-            clearing=clearing, clearing_keys=clearing_keys,
-        )
-        columns.append(
-            (name, result.total_costs(), result.instances_sold,
-             result.instances_cleared)
-        )
-    if task.include_all_selling:
-        for name, phi in _policies.ALL_SELLING_POLICIES.items():
-            result = run_population(
-                d, n, model, phi=phi, kind=FastPolicyKind.ALL_SELLING,
-                precomputed=prepared,
-                clearing=clearing, clearing_keys=clearing_keys,
-            )
-            columns.append(
-                (name, result.total_costs(), result.instances_sold,
-                 result.instances_cleared)
-            )
-    for spec_text in task.extra_policies:
-        policy = PolicySpec(spec_text).build()
-        if isinstance(policy, _policies.KeepReservedPolicy):
-            result = run_population(
-                d, n, model, kind=FastPolicyKind.KEEP_RESERVED,
-                precomputed=prepared,
-            )
-            columns.append(
-                (
-                    policy.name,
-                    result.total_costs(),
-                    zero_counts,
-                    zero_counts if clearing is not None else None,
-                )
-            )
-            continue
-        if isinstance(policy, _policies.RandomizedSellingPolicy):
-            result = run_population_randomized(
-                d, n, model, policy,
-                user_keys=list(task.user_ids or ()) or None,
-                clearing=clearing,
-                clearing_keys=(
-                    list(clearing_keys) if clearing_keys is not None else None
-                ),
-            )
-        elif isinstance(policy, _policies.CancellationAwareSellingPolicy):
-            result = run_population(
-                d, n, model, phi=policy.phi,
-                threshold_scale=policy.threshold_scale, precomputed=prepared,
-                clearing=clearing, clearing_keys=clearing_keys,
-                cancellation=policy.cancellation,
-            )
-        elif isinstance(policy, _policies.AllSellingPolicy):
-            result = run_population(
-                d, n, model, phi=policy.phi, kind=FastPolicyKind.ALL_SELLING,
-                precomputed=prepared,
-                clearing=clearing, clearing_keys=clearing_keys,
-            )
-        else:
-            result = run_population(
-                d, n, model, phi=policy.phi,
-                threshold_scale=policy.threshold_scale, precomputed=prepared,
-                clearing=clearing, clearing_keys=clearing_keys,
-            )
-        columns.append(
-            (policy.name, result.total_costs(), result.instances_sold,
-             result.instances_cleared)
-        )
-    opt_results = None
-    if task.include_opt:
-        # OPT runs per user, its multi-start descents batched as lanes
-        # inside each call. Users are not batched: each descent visits a
-        # user's instances in order, so a cross-user lockstep takes as
-        # many steps as the largest user has instances. OPT also stays
-        # the instant-sale clairvoyant baseline under clearing (see
-        # _simulate_user).
-        opt_results = [
-            run_offline_optimal(d[user], n[user], model) for user in range(block_users)
-        ]
-
-    rows: "list[tuple[dict[str, float], dict[str, int], dict[str, int] | None]]" = []
-    for user in range(block_users):
-        costs = {name: float(totals[user]) for name, totals, _, _ in columns}
-        sold = {name: int(counts[user]) for name, _, counts, _ in columns}
-        cleared: "dict[str, int] | None" = None
-        if clearing is not None:
-            cleared = {
-                name: int(cleared_counts[user])
-                for name, _, _, cleared_counts in columns
-                if cleared_counts is not None
-            }
-        if opt_results is not None:
-            costs[_policies.POLICY_OPT] = opt_results[user].total_cost
-            sold[_policies.POLICY_OPT] = opt_results[user].instances_sold
-            if cleared is not None:
-                cleared[_policies.POLICY_OPT] = opt_results[user].instances_sold
-        rows.append((costs, sold, cleared))
-    return rows
 
 
 def _population_block_size(n_pending: int, workers: int) -> int:
@@ -511,97 +375,6 @@ def _population_block_size(n_pending: int, workers: int) -> int:
         return min(DEFAULT_BLOCK_USERS, max(1, n_pending))
     target = math.ceil(n_pending / (resolved * CHUNKS_PER_WORKER))
     return max(1, min(DEFAULT_BLOCK_USERS, target))
-
-
-def _run_population_sweep(
-    population: "list[ExperimentUser]",
-    pending: "list[int]",
-    model: CostModel,
-    include_opt: bool,
-    include_all_selling: bool,
-    workers: int,
-    on_progress: "Callable[[int], None] | None",
-    clearing: "ClearingModel | None" = None,
-    extra_policies: "tuple[str, ...]" = (),
-) -> "list[UserOutcome]":
-    """Simulate the pending users through the population-tensor engine.
-
-    Users are packed into contiguous user-blocks, each block travels to a
-    worker as one ``(B × H)`` tensor task, and the per-user outcomes come
-    back bit-identical to :func:`_simulate_user` (the popsim guarantee).
-    """
-    horizons = {len(population[index].schedule.demands) for index in pending}
-    if len(horizons) > 1:
-        raise ExperimentError(
-            "engine='population' needs one common horizon across users, got "
-            f"{sorted(horizons)}; use engine='user' for mixed-horizon "
-            "populations"
-        )
-    block_size = _population_block_size(len(pending), workers)
-    blocks = [
-        pending[start : start + block_size]
-        for start in range(0, len(pending), block_size)
-    ]
-    tasks = [
-        _PopulationBlockTask(
-            demands=np.stack(
-                [population[index].schedule.demands.values for index in block]
-            ),
-            reservations=np.stack(
-                [population[index].schedule.reservations for index in block]
-            ),
-            model=model,
-            include_opt=include_opt,
-            include_all_selling=include_all_selling,
-            clearing=clearing,
-            clearing_keys=(
-                tuple(population[index].user_id for index in block)
-                if clearing is not None
-                else None
-            ),
-            extra_policies=extra_policies,
-            user_ids=(
-                tuple(population[index].user_id for index in block)
-                if extra_policies
-                else None
-            ),
-        )
-        for block in blocks
-    ]
-    if on_progress is None:
-        block_progress = None
-    else:
-        reporter = on_progress
-        npending = len(pending)
-
-        def block_progress(done_blocks: int) -> None:
-            # Blocks are equal-sized except the last; clamp to pending.
-            reporter(min(npending, done_blocks * block_size))
-
-    block_rows = parallel_map(
-        _run_population_block,
-        tasks,
-        workers=workers,
-        chunk_size=1,
-        progress=block_progress,
-    )
-    rows = [row for block in block_rows for row in block]
-    computed: "list[UserOutcome]" = []
-    for (costs, sold, cleared), index in zip(rows, pending):
-        user = population[index]
-        computed.append(
-            UserOutcome(
-                user_id=user.user_id,
-                group=user.group,
-                cv=user.cv,
-                imitator=user.imitator_name,
-                instances_reserved=user.schedule.total_reserved,
-                costs=costs,
-                instances_sold=sold,
-                instances_cleared=cleared,
-            )
-        )
-    return computed
 
 
 def user_cache_key(
@@ -657,14 +430,20 @@ def _outcome_payload(outcome: UserOutcome) -> dict:
     }
 
 
-def _outcome_from_payload(payload: dict) -> "UserOutcome | None":
-    """Rebuild an outcome from a cached payload; ``None`` if the payload
-    is from an incompatible cache format (treated as a miss)."""
+def _outcome_from_payload(
+    payload: dict, names: "list[str]", clearing: "ClearingModel | None"
+) -> "UserOutcome | None":
+    """Rebuild an outcome from a cached payload; ``None`` (a miss) when
+    the payload is from an incompatible cache format or malformed. Its
+    per-policy dicts must name exactly this sweep's ``names``, in order,
+    and ``instances_cleared`` must be present exactly under a clearing
+    model.
+    """
     if payload.get("format") != _CACHE_FORMAT:
         return None
     try:
         cleared_payload = payload.get("instances_cleared")
-        return UserOutcome(
+        outcome = UserOutcome(
             user_id=payload["user_id"],
             group=FluctuationGroup(payload["group"]),
             cv=float(payload["cv"]),
@@ -680,8 +459,17 @@ def _outcome_from_payload(payload: dict) -> "UserOutcome | None":
                 else None
             ),
         )
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
+    cleared = outcome.instances_cleared
+    if (
+        list(outcome.costs) != names
+        or list(outcome.instances_sold) != names
+        or (None if cleared is None else list(cleared))
+        != (None if clearing is None else names)
+    ):
+        return None
+    return outcome
 
 
 def run_sweep(
@@ -733,6 +521,10 @@ def run_sweep(
         )
         model = config.cost_model()  # built once per sweep, shared by all users
     total = len(population)
+    columns = _sweep_columns(config, include_all_selling)
+    names = [column.name for column in columns]
+    if include_opt:
+        names.append(_policies.POLICY_OPT)
 
     outcomes: "list[UserOutcome | None]" = [None] * total
     keys: "list[str | None]" = [None] * total
@@ -745,15 +537,17 @@ def run_sweep(
                 )
                 keys[index] = key
                 payload = store.get(key)
-                restored = _outcome_from_payload(payload) if payload is not None else None
-                if payload is not None and restored is None:
-                    # Readable but incompatible entry: recount as a miss.
-                    store.hits -= 1
-                    store.misses += 1
-                if restored is not None:
-                    outcomes[index] = restored
-                else:
+                restored = None
+                if payload is not None:
+                    restored = _outcome_from_payload(payload, names, clearing)
+                    if restored is None:
+                        # Readable but incompatible or malformed entry:
+                        # recount as a miss (recomputed and overwritten).
+                        store.hits -= 1
+                        store.misses += 1
+                if restored is None:
                     pending.append(index)
+                outcomes[index] = restored
     else:
         pending = list(range(total))
 
@@ -762,37 +556,39 @@ def run_sweep(
         progress(done_offset, total)
 
     with timer.stage("simulate"):
+        if engine == "population":
+            horizons = {len(population[index].schedule.demands) for index in pending}
+            if len(horizons) > 1:
+                raise ExperimentError(
+                    "engine='population' needs one common horizon across users, "
+                    f"got {sorted(horizons)}; use engine='user' for mixed-horizon "
+                    "populations"
+                )
+            # Blocks are already sized for load balance: one per chunk.
+            size = _population_block_size(len(pending), workers)
+            worker, chunk_size = _run_block, 1
+        else:
+            worker, size, chunk_size = _run_users, 1, None
+        tasks = [
+            _SweepTask(
+                tuple(population[index] for index in pending[start : start + size]),
+                columns, model, include_opt, clearing,
+            )
+            for start in range(0, len(pending), size)
+        ]
         if progress is None:
             on_progress = None
         else:
-            reporter = progress
+            reporter, npending = progress, len(pending)
 
-            def on_progress(done: int) -> None:
-                reporter(done_offset + done, total)
+            def on_progress(done_tasks: int) -> None:
+                # Tasks are equal-sized except the last; clamp to pending.
+                reporter(done_offset + min(npending, done_tasks * size), total)
 
-        if engine == "population":
-            computed = _run_population_sweep(
-                population,
-                pending,
-                model,
-                include_opt,
-                include_all_selling,
-                workers,
-                on_progress,
-                clearing,
-                config.policies,
-            )
-        else:
-            tasks = [
-                _SweepTask(
-                    population[index], model, include_opt, include_all_selling,
-                    clearing, config.policies,
-                )
-                for index in pending
-            ]
-            computed = parallel_map(
-                _run_sweep_task, tasks, workers=workers, progress=on_progress
-            )
+        per_task = parallel_map(
+            worker, tasks, workers=workers, chunk_size=chunk_size, progress=on_progress
+        )
+        computed = [outcome for outcomes_ in per_task for outcome in outcomes_]
 
     if store is not None and pending:
         with timer.stage("cache-store"):

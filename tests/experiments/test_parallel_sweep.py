@@ -6,6 +6,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.clearing import ClearingModel
+from repro.core.policies import POLICY_A_T2
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.population import build_experiment_population
@@ -126,6 +128,40 @@ class TestSweepCache:
         store = ResultCache(root=tmp_path / "cache")
         run_sweep(CONFIG, users=population, cache=store)
         assert store.entry_count() == len(population)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: p.update(costs=list(p["costs"].values())), id="costs-list"),
+            pytest.param(
+                lambda p: p.update(instances_sold=list(p["instances_sold"].values())),
+                id="sold-list",
+            ),
+            pytest.param(
+                lambda p: p.update(instances_cleared=list(p["instances_cleared"].values())),
+                id="cleared-list",
+            ),
+            pytest.param(lambda p: p["costs"].pop(POLICY_A_T2), id="costs-drop"),
+            pytest.param(lambda p: p["instances_sold"].pop(POLICY_A_T2), id="sold-drop"),
+            pytest.param(lambda p: p.update(instances_cleared=None), id="cleared-null"),
+        ],
+    )
+    def test_malformed_entry_is_recomputed(self, population, tmp_path, edit):
+        # Valid JSON of the right format, but not this sweep's policy set.
+        clearing = ClearingModel.for_regime("normal", seed=11)
+        cache = tmp_path / "cache"
+        fresh = run_sweep(CONFIG, users=population, cache=cache, clearing=clearing)
+        key = user_cache_key(CONFIG, population[0], False, True, clearing)
+        store = ResultCache(root=cache)
+        original = store.get(key)
+        payload = store.get(key)
+        edit(payload)
+        store.put(key, payload)
+        warm = run_sweep(CONFIG, users=population, cache=cache, clearing=clearing)
+        assert warm.timing.cache_misses == 1
+        assert warm.timing.cache_hits == len(population) - 1
+        assert outcomes_equal(fresh.outcomes, warm.outcomes)
+        assert store.get(key) == original
 
 
 class TestCsvRoundTrip:
