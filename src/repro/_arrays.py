@@ -9,7 +9,8 @@ fractional values (``1.9 → 1``) and lets non-finite floats through as
 garbage. :func:`as_count_array` is the single strict replacement: float
 inputs are accepted only when every value is finite and exactly
 integral, anything else raises the caller's error type with a message
-naming the offending argument.
+naming the offending argument. Values outside ``int64`` are refused for
+that reason, before a cast could wrap them or warn.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from __future__ import annotations
 from typing import Type
 
 import numpy as np
+
+_INT64_MAX = np.iinfo(np.int64).max
+# float64 scalars: any float dtype compares in at least double precision.
+_FLOAT_LOW, _FLOAT_HIGH = np.float64(-(2**63)), np.float64(2**63)
 
 
 def as_count_array(
@@ -26,9 +31,11 @@ def as_count_array(
 ) -> np.ndarray:
     """Coerce ``values`` to an ``int64`` array of instance counts.
 
-    Integer (and boolean) arrays pass through with a dtype cast only.
-    Floating-point arrays must be finite and exactly integral —
-    ``1.0`` is accepted, ``1.9``, ``nan`` and ``inf`` raise ``error``.
+    Integer (and boolean) arrays pass through with a dtype cast only;
+    ``uint64`` values past ``int64``'s maximum raise ``error``.
+    Floating-point arrays must be finite, exactly integral and inside
+    ``[-2**63, 2**63)`` — ``1.0`` is accepted, ``1.9``, ``nan``, ``inf``
+    and ``1e19`` raise ``error``.
     Shape and sign are *not* checked here; callers keep their own
     (message-stable) dimensionality and non-negativity validation.
     """
@@ -41,11 +48,15 @@ def as_count_array(
         except (TypeError, ValueError):
             raise error(f"{name} must be numeric, got dtype object") from None
     if np.issubdtype(array.dtype, np.integer):
+        if array.dtype == np.uint64 and array.size and array.max() > _INT64_MAX:
+            raise error(f"{name} must lie in the int64 range [-2**63, 2**63)")
         return array.astype(np.int64, copy=False)
     if not np.issubdtype(array.dtype, np.floating):
         raise error(f"{name} must be integer-valued, got dtype {array.dtype}")
-    if not np.all(np.isfinite(array)):
-        raise error(f"{name} must be finite (no nan/inf values)")
+    if not np.all((array >= _FLOAT_LOW) & (array < _FLOAT_HIGH)):
+        if not np.all(np.isfinite(array)):
+            raise error(f"{name} must be finite (no nan/inf values)")
+        raise error(f"{name} must lie in the int64 range [-2**63, 2**63)")
     rounded = np.rint(array)
     if not np.array_equal(rounded, array):
         raise error(

@@ -29,11 +29,13 @@ collapses make its cost follow the batches, not the hours or instances:
    ``working < scale·β`` and history is rewritten once per batch.
 
 The decision step is chosen by row count. **One row** loops over its
-batches: each sorts its window of ``expression``, one ``searchsorted``
-of the shifted thresholds ``2(i − 1) − prefix[t0 + 1]`` gives every
-instance's working time — the only step that yields them, and
-``run_fast``'s records carry them — and rewrites go by slices. **Many
-rows** run in *rounds*: users never interact, so round ``j`` decides
+batches with :func:`decide_batch`: it sorts the window of
+``expression`` and one ``searchsorted`` of the shifted thresholds
+``2(i − 1) − prefix[t0 + 1]`` gives every instance's working time (the
+only step that yields them, for ``run_fast``'s records and for
+:class:`repro.serve.state.StreamTracker`, which runs it over a ring of
+the last φT hours); rewrites go by slices. **Many rows** run in
+*rounds*: users never interact, so round ``j`` decides
 every user's ``j``-th batch at once, and the number sold follows from
 one order statistic of the window (the ``j0``-th largest slack, ``j0``
 the smallest free-hour count that still sells). The windows are read
@@ -326,6 +328,77 @@ class RowRecords:
     on_demand: np.ndarray  # (H,) int64 — hourly on-demand instances
 
 
+class DecisionRule(NamedTuple):
+    """A checked policy's decision parameters."""
+
+    decision_age: int  # round(φT)
+    beta: float
+    threshold: float  # scale·β for ONLINE, inf for All-Selling
+    evaluate: bool  # False for Keep-Reserved or round(φT) outside (0, T)
+    per_sale_income: float  # 0.0 when nothing is evaluated
+
+
+def decision_rule(
+    model: CostModel,
+    phi: float,
+    kind: FastPolicyKind,
+    threshold_scale: float,
+    clearing: "ClearingModel | None",
+    error: "type[Exception]",
+) -> DecisionRule:
+    """Check a policy's arguments and derive its decision parameters.
+
+    The engine and the serving trackers share this, each with its own
+    ``error`` type; a bad φ raises ``PolicyError`` for all of them."""
+    if not isinstance(kind, FastPolicyKind):
+        raise error(f"kind must be a FastPolicyKind, got {kind!r}")
+    if kind is not FastPolicyKind.KEEP_RESERVED:
+        validate_phi(phi)
+    validate_threshold_scale(threshold_scale, error)
+    if clearing is not None and not isinstance(clearing, ClearingModel):
+        raise error(
+            f"clearing must be a ClearingModel or None, got "
+            f"{type(clearing).__name__}"
+        )
+    period = model.period
+    decision_age = round(phi * period)
+    beta = break_even_working_hours(model.plan, model.selling_discount, phi)
+    evaluate = kind is not FastPolicyKind.KEEP_RESERVED and 0 < decision_age < period
+    return DecisionRule(
+        decision_age,
+        beta,
+        threshold_scale * beta if kind is FastPolicyKind.ONLINE else math.inf,
+        evaluate,
+        model.sale_income(1.0 - decision_age / period) if evaluate else 0.0,
+    )
+
+
+def cleared_income(
+    model: CostModel,
+    discount: "float | np.ndarray",
+    clear_at: "int | np.ndarray",
+    reserved_at: "int | np.ndarray",
+) -> "float | np.ndarray":
+    """``(1 − fee) · a(w) · (1 − (t_clear − t0)/T) · R``, left to right:
+    the income of one cleared listing, or of each of an array of them."""
+    return (
+        (1.0 - model.marketplace_fee)
+        * discount
+        * (1.0 - (clear_at - reserved_at) / model.period)
+        * model.big_r
+    )
+
+
+def _user_keys(keys: "list[object] | None", users: int, name: str) -> "list[object]":
+    """One key per user: ``keys`` as given, by default the row index."""
+    resolved = list(range(users)) if keys is None else list(keys)
+    if len(resolved) != users:
+        raise SimulationError(
+            f"{name} must have one entry per user ({users}), got {len(resolved)}"
+        )
+    return resolved
+
+
 def _sequential_income_table(per_sale_income: float, max_sales: int) -> np.ndarray:
     """``table[k]`` = ``k`` repeated float ``+=`` of ``per_sale_income``.
 
@@ -358,19 +431,32 @@ def _settle(active: np.ndarray, sale_delta: np.ndarray) -> np.ndarray:
     return settled
 
 
+def decide_batch(
+    window: np.ndarray, shift: int, size: int, threshold: float
+) -> "tuple[np.ndarray, np.ndarray, int]":
+    """Decide one batch from its φT-hour window of ``expression``.
+
+    ``shift`` is ``prefix[t0 + 1]``, so the slack is ``window + shift``.
+    Returns the sorted window, each instance's working hours
+    ``#{c ≤ 2(i − 1)}`` as seen while every earlier instance sold, and
+    the number sold: the leading run with ``working < threshold``. Rows
+    after the first keep see a smaller shift; a caller that reports them
+    counts them again on the sorted window.
+    """
+    ordered = np.sort(window)
+    working = np.searchsorted(ordered, 2 * np.arange(size) - shift, side="right")
+    return ordered, working, int(np.count_nonzero(working < threshold))
+
+
 def _decide_row(
     precomputed: PopulationPrecompute,
     decision_age: int,
     threshold: float,
     instant: bool,
 ) -> _Decisions:
-    """One row: decide each batch from its sorted window of ``expression``.
-
-    ``threshold`` is ``scale·β`` for ONLINE and ``inf`` for All-Selling,
-    so ``count_nonzero(working < threshold)`` is the number sold either
-    way. Under ``instant`` sales the physical timeline is rewritten by
-    slices as the loop goes.
-    """
+    """One row: :func:`decide_batch` decides each batch in turn. Under
+    ``instant`` sales the physical timeline is rewritten by slices as
+    the loop goes."""
     d = precomputed.demands[0]
     n = precomputed.reservations[0]
     prefix = precomputed.reservation_prefix[0]
@@ -383,12 +469,9 @@ def _decide_row(
     working_parts = [np.zeros(0, dtype=np.int64)]
     for t0 in np.flatnonzero(n[: max(horizon - decision_age, 0)]).tolist():
         t = t0 + decision_age
-        working = np.searchsorted(
-            np.sort(expression[t0:t]),
-            2 * np.arange(n[t0]) - prefix[t0 + 1],
-            side="right",
+        _ordered, working, sold = decide_batch(
+            expression[t0:t], prefix[t0 + 1], n[t0], threshold
         )
-        sold = int(np.count_nonzero(working < threshold))
         if sold == 0:
             continue
         expression[t0 : t0 + period] -= sold  # history rewrite (lines 17-21)
@@ -583,14 +666,7 @@ def _apply_clearing(
         np.add.at(sale_delta, (rows_cleared, tc), -1)
         np.add.at(sale_delta, (rows_cleared, np.minimum(t0_cleared + period, horizon)), 1)
         r_physical = _settle(r_physical, sale_delta)
-        # (1−fee) · a(w) · remaining · R, left to right.
-        clear_fraction = 1.0 - (tc - t0_cleared) / period
-        values = (
-            (1.0 - model.marketplace_fee)
-            * profile.discounts[delays[cleared]]
-            * clear_fraction
-            * model.big_r
-        )
+        values = cleared_income(model, profile.discounts[delays[cleared]], tc, t0_cleared)
         incomes[cleared] = values
         # Book each user's income one ``+=`` at a time in (clear hour,
         # listing order): the order streaming serving books it in.
@@ -667,54 +743,32 @@ def run_block(
     """
     d = precomputed.demands
     n = precomputed.reservations
-    period = precomputed.period
     users, horizon = d.shape
-    if kind is not FastPolicyKind.KEEP_RESERVED:
-        validate_phi(phi)
-    validate_threshold_scale(threshold_scale, SimulationError)
-    if clearing is not None and not isinstance(clearing, ClearingModel):
-        raise SimulationError(
-            f"clearing must be a ClearingModel or None, got "
-            f"{type(clearing).__name__}"
-        )
+    rule = decision_rule(model, phi, kind, threshold_scale, clearing, SimulationError)
     if cancellation is not None and not isinstance(cancellation, CancellationModel):
         raise SimulationError(
             f"cancellation must be a CancellationModel or None, got "
             f"{type(cancellation).__name__}"
         )
-    resolved_keys: "list[object]" = []
-    if clearing is not None:
-        resolved_keys = (
-            list(range(users)) if clearing_keys is None else list(clearing_keys)
-        )
-        if len(resolved_keys) != users:
-            raise SimulationError(
-                f"clearing_keys must have one entry per user "
-                f"({users}), got {len(resolved_keys)}"
-            )
+    resolved_keys = (
+        [] if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
+    )
 
-    decision_age = round(phi * period)
-    beta = break_even_working_hours(model.plan, model.selling_discount, phi)
-    evaluate = kind is not FastPolicyKind.KEEP_RESERVED and 0 < decision_age < period
-    per_sale_income = 0.0
+    decision_age = rule.decision_age
     empty = np.zeros(0, dtype=np.int64)
     decisions = _Decisions(
         np.zeros(users, dtype=np.int64), empty, empty, precomputed.active, empty
     )
-    if evaluate:
-        per_sale_income = model.sale_income(1.0 - decision_age / period)
-        threshold = (
-            threshold_scale * beta if kind is FastPolicyKind.ONLINE else math.inf
-        )
+    if rule.evaluate:
         if users == 1:
             decisions = _decide_row(
-                precomputed, decision_age, threshold, clearing is None
+                precomputed, decision_age, rule.threshold, clearing is None
             )
         else:
             decisions = _decide_rounds(
                 precomputed,
                 decision_age,
-                threshold,
+                rule.threshold,
                 clearing is None,
                 clearing is not None or cancellation is not None,
             )
@@ -724,7 +778,7 @@ def run_block(
     tallies: "list[np.ndarray | None]" = [None, None, None]
     if clearing is None:
         sale_income = _sequential_income_table(
-            per_sale_income, int(decisions.total_sold.max(initial=0))
+            rule.per_sale_income, int(decisions.total_sold.max(initial=0))
         )[decisions.total_sold]
     elif decisions.rows.size == 0:
         sale_income = np.zeros(users, dtype=np.float64)
@@ -911,23 +965,10 @@ def run_population_randomized(
         )
     precomputed = prepare_population(demands, reservations, model.period)
     users = precomputed.demands.shape[0]
-    keys: "list[object]" = (
-        list(range(users)) if user_keys is None else list(user_keys)
+    keys = _user_keys(user_keys, users, "user_keys")
+    resolved_clearing_keys = (
+        None if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
     )
-    if len(keys) != users:
-        raise SimulationError(
-            f"user_keys must have one entry per user ({users}), got {len(keys)}"
-        )
-    resolved_clearing_keys: "list[object] | None" = None
-    if clearing is not None:
-        resolved_clearing_keys = (
-            list(range(users)) if clearing_keys is None else list(clearing_keys)
-        )
-        if len(resolved_clearing_keys) != users:
-            raise SimulationError(
-                f"clearing_keys must have one entry per user ({users}), "
-                f"got {len(resolved_clearing_keys)}"
-            )
 
     drawn = policy.draw_spots(keys)
 

@@ -6,9 +6,11 @@ Two trackers, two fidelity/throughput points:
   It ingests one ``(demand, new_reservations)`` event per hour and
   reproduces :func:`repro.core.fastsim.run_fast` bit for bit: the same
   sales (reservation batch, instance index, hour, working time) and the
-  same :class:`~repro.core.account.CostBreakdown`, without ever holding
-  the trace. The equivalence is property-tested in
-  ``tests/serve/test_stream_differential.py``.
+  same :class:`~repro.core.account.CostBreakdown`, while holding only
+  the last ``round(φT)`` hours of the trace. The equivalence is
+  property-tested in ``tests/serve/test_stream_differential.py``, and
+  every decision, KEEP rows included, in
+  ``tests/serve/test_stream_decisions.py``.
 * :class:`FleetState` — a vectorised numpy engine over many
   *independent single-reservation* instances (the service's fleet
   model): ages, cumulative working hours, and per-φ verdicts live in
@@ -17,48 +19,38 @@ Two trackers, two fidelity/throughput points:
 
 How the stream reproduces the batch engine
 ------------------------------------------
-``run_fast`` decides batch ``t0`` at hour ``t = t0 + round(φT)`` by
-counting, over the window ``[t0, t)``, hours where
-``r_effective(h) − d(h) − i + 1 > l(h)`` — and a sale rewrites history
-(``r_effective[t0:end] -= 1``), which later windows and later instances
-of the same batch observe. Streaming cannot revisit past hours, so each
-open window keeps a *histogram* of shifted slack values
-``v(h) = r_live(h) − d(h) − l(h) + G(h)``, where ``r_live`` is the
-current active-and-unsold reservation count and ``G(h)`` the global
-number of sales performed so far. The shift makes retroactive rewrites
-cancel: every sale after ``h`` (up to the window's decision) covers
-``h`` — the seller's batch is always older than any still-open window,
-its instance is still active at ``h``, and its rewrite spans
-``[t0', expiry)`` ⊇ ``{h}`` — so the *final* effective slack is
-``v(h) − G_decision``, and instance ``i`` is free at ``h`` iff
-``v(h) ≥ i + G_decision``, a suffix count over the histogram (``G``
-also absorbs same-batch sales, whose rewrites the pseudocode's inner
-loop observes). Current and future hours need no correction at all: a
-sold instance's rewrite and its reservation span end at the same expiry
-hour, so "active and unsold right now" is the correct live value of
-both ``r_physical`` and ``r_effective``. Each event is O(open windows)
-≈ O(1) per tracked reservation batch; memory is one histogram entry per
-distinct slack value per open window.
+The engine (:mod:`repro.core.popsim`) keeps ``expression = r_effective
+− d − prefix[1:]``, where ``prefix[h + 1]`` counts the reservations made
+up to hour ``h``, and decides batch ``t0`` at hour ``t = t0 + round(φT)``
+from the window ``expression[t0:t]`` with
+:func:`~repro.core.popsim.decide_batch`. A sale rewrites history: it
+lowers ``expression`` over the sold reservation's span ``[t0, t0 + T)``.
+
+The tracker holds ``expression`` for the last φT hours in a ring, so at
+decision hour ``t`` the ring is exactly the window ``[t0, t)`` and it
+calls the same function on it. Each hour's value is written after that
+hour's decision, from the live count of active and unsold reservations;
+a sale then lowers every held value by the number sold, because every
+held hour lies in ``[t0, t0 + T)``. That is the whole rewrite: later
+hours read the live count, which the sale has already lowered until the
+reservation expires. Instances after a batch's first keep see the
+batch's ``sold`` rewrites plus their own ``i − 1``, not ``2(i − 1)``, so
+their working hours take one more ``searchsorted`` on the sorted window.
+An event costs O(1); a decision sorts φT values.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._arrays import as_count_array
 from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
-from repro.core.breakeven import (
-    PAPER_DECISION_FRACTIONS,
-    break_even_working_hours,
-    validate_phi,
-    validate_threshold_scale,
-)
+from repro.core.breakeven import PAPER_DECISION_FRACTIONS, validate_threshold_scale
 from repro.core.clearing import ClearingModel, ClearingProfile
 from repro.core.fastsim import FastListing, FastPolicyKind, FastSale
 from repro.core.policies import (
@@ -66,6 +58,7 @@ from repro.core.policies import (
     RandomizedSellingPolicy,
 )
 from repro.core.policyspec import SPEC_KEEP, PolicySpec
+from repro.core.popsim import cleared_income, decide_batch, decision_rule
 from repro.errors import PolicyError
 from repro.serve.errors import ServeStateError
 
@@ -96,15 +89,16 @@ class StreamDecision:
     verdict: Verdict
 
 
-@dataclass
-class _OpenWindow:
-    """Decision window of one reservation batch, mid-stream."""
-
-    t0: int
-    size: int
-    expiry: int
-    l_base: int  # total reservations seen up to and including t0
-    hist: Dict[int, int] = field(default_factory=dict)
+def _count(value: object, name: str) -> int:
+    """One hour's count, refused with ``ServeStateError`` unless it is a
+    single non-negative whole number."""
+    array = as_count_array(value, name, ServeStateError)
+    if array.ndim:
+        raise ServeStateError(f"{name} must be a single count, got shape {array.shape}")
+    count = int(array)
+    if count < 0:
+        raise ServeStateError(f"{name} must be non-negative, got {value!r}")
+    return count
 
 
 class StreamTracker:
@@ -136,37 +130,19 @@ class StreamTracker:
         clearing: "ClearingModel | None" = None,
         clearing_key: object = 0,
     ) -> None:
-        period = model.period
-        if kind is not FastPolicyKind.KEEP_RESERVED:
-            validate_phi(phi)
-        validate_threshold_scale(threshold_scale, ServeStateError)
+        rule = decision_rule(model, phi, kind, threshold_scale, clearing, ServeStateError)
         self.model = model
         self.phi = phi
         self.kind = kind
         self.threshold_scale = threshold_scale
-        self._period = period
-        self._decision_age = round(phi * period)
-        self._beta = break_even_working_hours(model.plan, model.selling_discount, phi)
-        self._evaluate = (
-            kind is not FastPolicyKind.KEEP_RESERVED
-            and 0 < self._decision_age < period
-        )
-        if self._evaluate:
-            remaining_fraction = 1.0 - self._decision_age / period
-            self._per_sale_income = model.sale_income(remaining_fraction)
-        else:
-            self._per_sale_income = 0.0
-        if clearing is not None and not isinstance(clearing, ClearingModel):
-            raise ServeStateError(
-                f"clearing must be a ClearingModel or None, got "
-                f"{type(clearing).__name__}"
-            )
         self.clearing = clearing
+        self._rule = rule
+        self._period = model.period
         self._clear_profile: "ClearingProfile | None" = None
         self._clear_rng: "np.random.Generator | None" = None
-        if clearing is not None and self._evaluate:
+        if clearing is not None and rule.evaluate:
             self._clear_profile = clearing.profile(
-                model.selling_discount, period, self._decision_age
+                model.selling_discount, self._period, rule.decision_age
             )
             self._clear_rng = clearing.stream(clearing_key)
 
@@ -190,8 +166,13 @@ class StreamTracker:
         self._od_hours = 0
         self._billed_hours = 0
         self._income = 0.0
-        self._sales_total = 0  # the global shift G (see module docstring)
-        self._open: List[_OpenWindow] = []
+        # ``expression`` of the last φT hours (hour h in slot h mod φT)
+        # and the batches awaiting their decision hour, each as
+        # (t0, size, prefix[t0 + 1]); see the module docstring.
+        self._ring = np.zeros(
+            rule.decision_age if rule.evaluate else 0, dtype=np.int64
+        )
+        self._waiting: "Deque[Tuple[int, int, int]]" = deque()
         self._decisions: List[StreamDecision] = []
 
     # ------------------------------------------------------------------
@@ -199,25 +180,20 @@ class StreamTracker:
     @property
     def decision_age(self) -> int:
         """Hours after reservation at which this tracker decides."""
-        return self._decision_age
+        return self._rule.decision_age
 
     @property
     def beta(self) -> float:
         """The break-even working time β for this tracker's φ."""
-        return self._beta
+        return self._rule.beta
 
     def observe(self, demand: int, reservations: int = 0) -> Tuple[StreamDecision, ...]:
         """Ingest one hour: ``demand`` busy units, ``reservations`` new
         reservations made this hour. Returns the decisions (if any)
         emitted at this hour — the batch reserved ``round(φT)`` hours
         ago reaching its decision spot."""
-        d = int(as_count_array(demand, "demand", ServeStateError))
-        n_new = int(as_count_array(reservations, "reservations", ServeStateError))
-        if d < 0 or n_new < 0:
-            raise ServeStateError(
-                f"demand and reservations must be non-negative, got "
-                f"({demand!r}, {reservations!r})"
-            )
+        d = _count(demand, "demand")
+        n_new = _count(reservations, "reservations")
         t = self.hour
 
         # 1. Expired reservations stop serving (and stop billing); sold
@@ -230,7 +206,7 @@ class StreamTracker:
             for sale_value in self._pending_income.pop(t, ()):
                 self._income += sale_value
 
-        # 2. New reservations arrive and open a decision window.
+        # 2. New reservations arrive and wait for their decision hour.
         if n_new:
             self._active += n_new
             self._total_reserved += n_new
@@ -238,34 +214,22 @@ class StreamTracker:
             self._pending_expiry[expiry] = (
                 self._pending_expiry.get(expiry, 0) + n_new
             )
-            if self._evaluate:
-                self._open.append(
-                    _OpenWindow(
-                        t0=t, size=n_new, expiry=expiry, l_base=self._total_reserved
-                    )
-                )
+            if self._rule.evaluate:
+                self._waiting.append((t, n_new, self._total_reserved))
 
-        # 3. The batch reserved decision_age hours ago decides now.
+        # 3. The batch reserved decision_age hours ago decides now, then
+        #    this hour's post-sale ``expression`` takes the slot of the
+        #    hour that just left the window.
         emitted: Tuple[StreamDecision, ...] = ()
-        if (
-            self._evaluate
-            and self._open
-            and self._open[0].t0 == t - self._decision_age
-        ):
-            window = self._open.pop(0)
-            emitted = self._decide(window, t)
-            self._decisions.extend(emitted)
+        if self._rule.evaluate:
+            if self._waiting and self._waiting[0][0] == t - self._rule.decision_age:
+                emitted = self._decide(*self._waiting.popleft(), t)
+                self._decisions.extend(emitted)
+            self._ring[t % self._ring.size] = (
+                self._active - d - self._total_reserved
+            )
 
-        # 4. Record this hour's shifted slack in every open window
-        #    (post-sale values: a sale at hour t is visible to windows
-        #    covering t; the G shift squares past hours with future
-        #    retroactive rewrites — see the module docstring).
-        for window in self._open:
-            l_count = self._total_reserved - window.l_base
-            slack = self._active - d - l_count + self._sales_total
-            window.hist[slack] = window.hist.get(slack, 0) + 1
-
-        # 5. Book this hour's costs against the live *physical* count:
+        # 4. Book this hour's costs against the live *physical* count:
         #    listed-but-uncleared units still serve and still bill.
         live = self._active + self._pending_serving
         if d > live:
@@ -297,45 +261,40 @@ class StreamTracker:
 
     # ------------------------------------------------------------------
 
-    def _decide(self, window: _OpenWindow, t: int) -> Tuple[StreamDecision, ...]:
-        """Decide every instance of one batch at its decision hour."""
-        values = sorted(window.hist)
-        counts_below = [0, *accumulate(window.hist[v] for v in values)]
-        total = counts_below[-1]
-
-        emitted: List[StreamDecision] = []
-        online = self.kind is FastPolicyKind.ONLINE
-        for i in range(1, window.size + 1):
-            # Free hours: v(h) >= i + G (see the module docstring).
-            position = bisect_left(values, i + self._sales_total)
-            free = total - counts_below[position]
-            working = self._decision_age - free
-            sell = (
-                working < self.threshold_scale * self._beta if online else True
+    def _decide(
+        self, t0: int, size: int, shift: int, t: int
+    ) -> Tuple[StreamDecision, ...]:
+        """Decide every instance of batch ``t0`` at its decision hour."""
+        ordered, working, sold = decide_batch(
+            self._ring, shift, size, self._rule.threshold
+        )
+        if sold + 1 < size:
+            # After the first keep (i = sold + 1) the batch's rewrites
+            # stop: instance i sees a shift of (i − 1) + sold.
+            working[sold + 1 :] = np.searchsorted(
+                ordered, np.arange(sold + 1, size) + sold - shift, side="right"
             )
-            if sell:
-                self._active -= 1
-                self._pending_expiry[window.expiry] -= 1
-                self._sales_total += 1
-                verdict = Verdict.SELL
+        if sold:
+            self._ring -= sold
+            self._active -= sold
+            self._pending_expiry[t0 + self._period] -= sold
+            for batch_index in range(1, sold + 1):
                 if self._clear_profile is None:
-                    self._income += self._per_sale_income
+                    self._income += self._rule.per_sale_income
                 else:
-                    self._list_sale(window, t, i)
-            else:
-                verdict = Verdict.KEEP
-            emitted.append(
-                StreamDecision(
-                    reserved_at=window.t0,
-                    batch_index=i,
-                    hour=t,
-                    working_hours=working,
-                    verdict=verdict,
-                )
+                    self._list_sale(t0, t, batch_index)
+        return tuple(
+            StreamDecision(
+                reserved_at=t0,
+                batch_index=i,
+                hour=t,
+                working_hours=hours,
+                verdict=Verdict.SELL if i <= sold else Verdict.KEEP,
             )
-        return tuple(emitted)
+            for i, hours in enumerate(working.tolist(), start=1)
+        )
 
-    def _list_sale(self, window: _OpenWindow, t: int, batch_index: int) -> None:
+    def _list_sale(self, t0: int, t: int, batch_index: int) -> None:
         """Open a marketplace listing for one SELL decision at hour ``t``.
 
         Draws the clearing delay, books delay-0 clears immediately
@@ -349,12 +308,8 @@ class StreamTracker:
         delay = profile.sample_delay(self._clear_rng.random())
         if delay < profile.window:
             clear_at = t + delay
-            clear_fraction = 1.0 - (clear_at - window.t0) / self._period
-            sale_value = (
-                (1.0 - self.model.marketplace_fee)
-                * float(profile.discounts[delay])
-                * clear_fraction
-                * self.model.big_r
+            sale_value = float(
+                cleared_income(self.model, profile.discounts[delay], clear_at, t0)
             )
             if delay == 0:
                 self._income += sale_value
@@ -366,14 +321,13 @@ class StreamTracker:
                 self._pending_income.setdefault(clear_at, []).append(sale_value)
             fate_hour, fate, income = clear_at, "clear", sale_value
         else:
+            expiry = t0 + self._period
             self._pending_serving += 1
-            self._pending_serving_drop[window.expiry] = (
-                self._pending_serving_drop.get(window.expiry, 0) + 1
+            self._pending_serving_drop[expiry] = (
+                self._pending_serving_drop.get(expiry, 0) + 1
             )
             fate_hour, fate, income = t + profile.window, "expire", 0.0
-        self._listings.append(
-            (window.t0, batch_index, t, delay, fate_hour, fate, income)
-        )
+        self._listings.append((t0, batch_index, t, delay, fate_hour, fate, income))
 
     # ------------------------------------------------------------------
 
@@ -406,7 +360,7 @@ class StreamTracker:
     @property
     def pending_batches(self) -> int:
         """Reservation batches whose decision hour has not arrived."""
-        return len(self._open)
+        return len(self._waiting)
 
     @property
     def listings(self) -> Tuple[FastListing, ...]:
@@ -591,11 +545,7 @@ class FleetState:
         clearing: "ClearingModel | None" = None,
         policies: "Sequence[object] | None" = None,
     ) -> None:
-        if clearing is not None and not isinstance(clearing, ClearingModel):
-            raise ServeStateError(
-                f"clearing must be a ClearingModel or None, got "
-                f"{type(clearing).__name__}"
-            )
+        # Checked before the specs are compared with it.
         validate_threshold_scale(threshold_scale, ServeStateError)
         if not phis:
             raise ServeStateError("at least one decision fraction is required")
@@ -650,22 +600,15 @@ class FleetState:
         period = model.period
         thresholds = []
         for phi in menu:
-            validate_phi(phi)
-            age = round(phi * period)
-            if not 0 < age < period:
+            rule = decision_rule(
+                model, phi, FastPolicyKind.ONLINE, threshold_scale, clearing, ServeStateError
+            )
+            if not rule.evaluate:
                 raise ServeStateError(
                     f"phi={phi!r} with period {period}h yields a degenerate "
-                    f"decision age of {age}h"
+                    f"decision age of {rule.decision_age}h"
                 )
-            thresholds.append(
-                PhiThreshold(
-                    phi=phi,
-                    decision_age=age,
-                    beta=break_even_working_hours(
-                        model.plan, model.selling_discount, phi
-                    ),
-                )
-            )
+            thresholds.append(PhiThreshold(phi, rule.decision_age, rule.beta))
         self.model = model
         self.threshold_scale = threshold_scale
         self.thresholds: Tuple[PhiThreshold, ...] = tuple(thresholds)

@@ -9,6 +9,10 @@ time. ``repro.core.fastsim.run_fast`` decides each batch from one
 sorted slack vector and must return the same :class:`FastResult` to
 the bit.
 
+``literal_run`` also returns one :class:`LiteralDecision` per decided
+instance, KEEP rows included: ``run_fast`` records only its sales, so
+the streaming tracker's KEEP rows are checked against these.
+
 ``literal_apply_rebuys`` is the cancellation rank rule written as a scan
 of every hour of each sold unit's watch window. The reference run uses
 it rather than the package's ``apply_rebuys``, so the differential also
@@ -16,6 +20,8 @@ checks that function: a reference must not share the code it checks.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +42,16 @@ from repro.core.cancellation import (
 from repro.core.clearing import ClearingModel, ClearingProfile
 from repro.core.fastsim import FastListing, FastPolicyKind, FastResult, FastSale
 from repro.errors import SimulationError
+
+
+class LiteralDecision(NamedTuple):
+    """One instance decided by the pseudocode's instance loop."""
+
+    reserved_at: int
+    batch_index: int  # the pseudocode's i (1-based)
+    hour: int
+    working_hours: int
+    sell: bool
 
 
 def literal_apply_rebuys(
@@ -87,7 +103,12 @@ def literal_apply_rebuys(
     return RebuyOutcome(rebuys=tuple(rebuys), r_after=r_after, rebuy_cost=total)
 
 
-def literal_run_fast(
+def literal_run_fast(*args, **kwargs) -> FastResult:
+    """``run_fast`` with the hourly loop and one window scan per instance."""
+    return literal_run(*args, **kwargs)[0]
+
+
+def literal_run(
     demands: np.ndarray,
     reservations: np.ndarray,
     model: CostModel,
@@ -98,8 +119,9 @@ def literal_run_fast(
     clearing: "ClearingModel | None" = None,
     clearing_key: object = 0,
     cancellation: "CancellationModel | None" = None,
-) -> FastResult:
-    """``run_fast`` with the hourly loop and one window scan per instance."""
+) -> "tuple[FastResult, list[LiteralDecision]]":
+    """The literal loop's result and every instance it decided, in
+    decision order."""
     d = as_count_array(demands, "demands", SimulationError)
     n = as_count_array(reservations, "reservations", SimulationError)
     if d.ndim != 1 or n.ndim != 1 or d.size != n.size:
@@ -125,6 +147,7 @@ def literal_run_fast(
         r_effective[start:end] += n[start]
 
     sales: list[FastSale] = []
+    decisions: "list[LiteralDecision]" = []
     listings: list[FastListing] = []
     cleared_entries: "list[tuple[int, int, float]]" = []
     income = 0.0
@@ -159,6 +182,7 @@ def literal_run_fast(
                     sell = working < threshold_scale * beta
                 else:  # ALL_SELLING
                     sell = True
+                decisions.append(LiteralDecision(t0, i, t, working, sell))
                 if not sell:
                     continue
                 end = min(t0 + period, horizon)
@@ -267,7 +291,7 @@ def literal_run_fast(
         sale_income=income,
         rebuy=rebuy_cost,
     )
-    return FastResult(
+    result = FastResult(
         breakdown=breakdown,
         sales=tuple(sales),
         on_demand=on_demand,
@@ -275,3 +299,4 @@ def literal_run_fast(
         listings=tuple(listings),
         rebuys=rebuys,
     )
+    return result, decisions

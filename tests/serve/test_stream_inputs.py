@@ -1,7 +1,7 @@
 """The streaming tracker refuses the inputs the batch engine refuses.
 
-``run_fast`` rejects fractional, non-finite and unequal-length traces
-with ``SimulationError``; :class:`~repro.serve.state.StreamTracker`
+``run_fast`` rejects fractional, non-finite, unequal-length and 2-D
+traces with ``SimulationError``; :class:`~repro.serve.state.StreamTracker`
 must not quietly truncate, overflow or stop early on the same inputs.
 """
 
@@ -32,6 +32,7 @@ MODEL = CostModel(
         ([math.nan, 2], [1, 0]),
         ([math.inf, 2], [1, 0]),
         ([1, 2], [-math.inf, 0]),
+        ([[1, 2]], [[1, 0]]),
     ],
     ids=[
         "unequal-length",
@@ -40,6 +41,7 @@ MODEL = CostModel(
         "nan-demand",
         "inf-demand",
         "inf-reservations",
+        "two-dimensional",
     ],
 )
 def test_stream_refuses_what_run_fast_refuses(demands, reservations):
