@@ -5,10 +5,15 @@ pair — the per-user sweeps (the CLI's default ``--engine user``), OPT's
 policy seed runs and the ablations call it. It checks its 1-D input,
 hands the pair to :func:`repro.core.popsim.run_block` as a one-row
 block, and builds :class:`FastResult` from what the engine returns: the
-cost breakdown, one :class:`FastSale` per sale (with its batch index and
-working hours), the listings, the re-buys and the hourly timelines. How
-the engine decides a batch, and why one row keeps its own per-batch
-loop, is described in :mod:`repro.core.popsim`.
+cost breakdown, the hourly timelines, the re-buys, and the per-sale
+records — one :class:`FastSale` per sale (with its batch index and
+working hours) and, under clearing, one :class:`FastListing` each.
+The records are built on first read: a caller that reads only costs
+and counts, as the sweeps do, builds none. A caller that runs several
+policies over one user prepares the row once with
+:func:`repro.core.popsim.prepare_population` and passes it as
+``precomputed=``. How the engine decides a batch, and why one row keeps
+its own per-batch loop, is described in :mod:`repro.core.popsim`.
 
 The pseudocode-literal loop — every hour, one window scan per instance,
 one rewrite per sale — is kept as the test reference
@@ -18,8 +23,9 @@ field must equal it bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import cast
+from typing import Callable, Iterator, cast
 
 import numpy as np
 
@@ -28,7 +34,14 @@ from repro.core.account import CostBreakdown, CostModel
 from repro.core.cancellation import CancellationModel, Rebuy
 from repro.core.cancellation import apply_rebuys  # noqa: F401 - perfbench traces it here
 from repro.core.clearing import ClearingModel
-from repro.core.popsim import FastPolicyKind, PopulationPrecompute, RowRecords, run_block
+from repro.core.popsim import (
+    FastPolicyKind,
+    Listings,
+    PopulationPrecompute,
+    RowRecords,
+    check_precomputed,
+    run_block,
+)
 from repro.errors import SimulationError
 
 #: Version of the batch engine's numerical behaviour. Part of the sweep
@@ -72,17 +85,66 @@ class FastListing:
     income: float
 
 
+class RecordSequence(Sequence):
+    """An immutable sequence of records built on first read.
+
+    Its length is known up front; the items are built by ``build(*args)``
+    the first time any is read, then cached. It compares equal to the
+    tuple of the same items, so a :class:`FastResult` with built-on-read
+    records equals one built from plain tuples.
+    """
+
+    __slots__ = ("_size", "_build", "_args", "_items")
+
+    def __init__(self, size: int, build: "Callable[..., tuple]", *args: object) -> None:
+        self._size = size
+        self._build = build
+        self._args = args
+        self._items: "tuple | None" = None
+
+    def _tuple(self) -> tuple:
+        if self._items is None:
+            self._items = self._build(*self._args)
+        return self._items
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: "int | slice") -> object:
+        return self._tuple()[index]
+
+    def __iter__(self) -> "Iterator":
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, RecordSequence)):
+            return self._tuple() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class FastResult:
-    """Outputs of one fast-engine run."""
+    """Outputs of one fast-engine run.
+
+    ``run_fast`` hands ``sales`` and ``listings`` over as
+    :class:`RecordSequence` objects, built from the engine's arrays the
+    first time they are read; their lengths, and so
+    :attr:`instances_sold`, need no build.
+    """
 
     breakdown: CostBreakdown
-    sales: tuple[FastSale, ...]
+    sales: "Sequence[FastSale]"
     on_demand: np.ndarray
     r_physical: np.ndarray
     #: Listing lifecycle records; empty when no clearing model was given
     #: (instant sales, the paper's semantics).
-    listings: tuple[FastListing, ...] = ()
+    listings: "Sequence[FastListing]" = ()
     #: Buy-backs executed by a cancellation-aware run; empty without a
     #: cancellation model.
     rebuys: "tuple[Rebuy, ...]" = ()
@@ -120,6 +182,50 @@ class FastResult:
         return len(self.rebuys)
 
 
+def _build_sales(records: RowRecords) -> "tuple[FastSale, ...]":
+    """One :class:`FastSale` per sale, in decision order."""
+    sales: "list[FastSale]" = []
+    previous, batch_index = -1, 0
+    for t0, hours in zip(records.sale_t0.tolist(), records.working_hours.tolist()):
+        # Sales come in decision order: a batch is a run of equal t0.
+        batch_index = batch_index + 1 if t0 == previous else 1
+        previous = t0
+        sales.append(
+            FastSale(
+                reserved_at=t0,
+                batch_index=batch_index,
+                hour=t0 + records.decision_age,
+                working_hours=hours,
+            )
+        )
+    return tuple(sales)
+
+
+def _build_listings(
+    listed: Listings, sales: "Sequence[FastSale]"
+) -> "tuple[FastListing, ...]":
+    """One :class:`FastListing` per sale, aligned with ``sales``."""
+    return tuple(
+        FastListing(
+            reserved_at=sale.reserved_at,
+            batch_index=sale.batch_index,
+            listed_at=sale.hour,
+            delay=delay,
+            cleared_at=clear_at if cleared else None,
+            outcome="cleared" if cleared else "expired" if expired else "open",
+            income=income,
+        )
+        for sale, delay, clear_at, cleared, expired, income in zip(
+            sales,
+            listed.delay.tolist(),
+            listed.clear_at.tolist(),
+            listed.cleared.tolist(),
+            listed.expired.tolist(),
+            listed.income.tolist(),
+        )
+    )
+
+
 def run_fast(
     demands: np.ndarray,
     reservations: np.ndarray,
@@ -128,6 +234,7 @@ def run_fast(
     kind: FastPolicyKind = FastPolicyKind.ONLINE,
     threshold_scale: float = 1.0,
     *,
+    precomputed: "PopulationPrecompute | None" = None,
     clearing: "ClearingModel | None" = None,
     clearing_key: object = 0,
     cancellation: "CancellationModel | None" = None,
@@ -137,6 +244,12 @@ def run_fast(
     ``phi`` selects the decision spot (0.75 → Algorithm 1's ``A_{3T/4}``,
     0.5 → Algorithm 2's ``A_{T/2}``, 0.25 → ``A_{T/4}``); it is ignored
     for ``KEEP_RESERVED``.
+
+    ``precomputed`` takes a one-row :func:`repro.core.popsim.prepare_population`
+    block, as ``run_population`` does: ``demands`` and ``reservations``
+    are then ignored, and a block of another row count or prepared for
+    another period is refused. Several policies over one user share
+    the checks and the precomputed row this way.
 
     With a :class:`~repro.core.clearing.ClearingModel`, SELL decisions
     open listings instead of completing: the decision sequence itself is
@@ -159,16 +272,25 @@ def run_fast(
     the buy-back prices, and on-demand/billed hours are recomputed from
     the repaired timeline.
     """
-    d = as_count_array(demands, "demands", SimulationError)
-    n = as_count_array(reservations, "reservations", SimulationError)
-    if d.ndim != 1 or n.ndim != 1 or d.size != n.size:
-        raise SimulationError(
-            "demands and reservations must be 1-D arrays of equal length"
-        )
-    if np.any(d < 0) or np.any(n < 0):
-        raise SimulationError("demands and reservations must be non-negative")
+    if precomputed is None:
+        d = as_count_array(demands, "demands", SimulationError)
+        n = as_count_array(reservations, "reservations", SimulationError)
+        if d.ndim != 1 or n.ndim != 1 or d.size != n.size:
+            raise SimulationError(
+                "demands and reservations must be 1-D arrays of equal length"
+            )
+        if np.any(d < 0) or np.any(n < 0):
+            raise SimulationError("demands and reservations must be non-negative")
+        precomputed = PopulationPrecompute(d[None], n[None], model.period)
+    else:
+        if precomputed.demands.shape[0] != 1:
+            raise SimulationError(
+                "precomputed must be a one-row block, got "
+                f"{precomputed.demands.shape[0]} rows"
+            )
+        check_precomputed(precomputed, model.period)
     result, row = run_block(
-        PopulationPrecompute(d[None], n[None], model.period),
+        precomputed,
         model,
         phi,
         kind,
@@ -178,49 +300,16 @@ def run_fast(
         cancellation=cancellation,
     )
     records = cast(RowRecords, row)  # a one-row block always has them
-    sales: "list[FastSale]" = []
-    previous, batch_index = -1, 0
-    for t0, hours in zip(
-        records.sale_t0.tolist(), records.working_hours.tolist()
-    ):
-        # Sales come in decision order: a batch is a run of equal t0.
-        batch_index = batch_index + 1 if t0 == previous else 1
-        previous = t0
-        sales.append(
-            FastSale(
-                reserved_at=t0,
-                batch_index=batch_index,
-                hour=t0 + records.decision_age,
-                working_hours=hours,
-            )
-        )
-    listings: "tuple[FastListing, ...]" = ()
-    if records.listings is not None:
-        listed = records.listings
-        listings = tuple(
-            FastListing(
-                reserved_at=sale.reserved_at,
-                batch_index=sale.batch_index,
-                listed_at=sale.hour,
-                delay=delay,
-                cleared_at=clear_at if cleared else None,
-                outcome="cleared" if cleared else "expired" if expired else "open",
-                income=income,
-            )
-            for sale, delay, clear_at, cleared, expired, income in zip(
-                sales,
-                listed.delay.tolist(),
-                listed.clear_at.tolist(),
-                listed.cleared.tolist(),
-                listed.expired.tolist(),
-                listed.income.tolist(),
-            )
-        )
+    sales = RecordSequence(records.sale_t0.size, _build_sales, records)
     return FastResult(
         breakdown=result.breakdown(0),
-        sales=tuple(sales),
+        sales=sales,
         on_demand=records.on_demand,
         r_physical=records.r_physical,
-        listings=listings,
+        listings=(
+            ()
+            if records.listings is None
+            else RecordSequence(len(sales), _build_listings, records.listings, sales)
+        ),
         rebuys=records.rebuys,
     )

@@ -46,6 +46,7 @@ from numpy.typing import ArrayLike
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.instance import ReservedInstance
 from repro.core.policies import POLICY_OPT, ScriptedSellingPolicy
+from repro.core.popsim import prepare_population
 from repro.core.simulator import SimulationResult, _normalise_reservations, run_policy
 from repro.errors import SimulationError
 from repro.workload.base import TraceLike, as_trace
@@ -288,10 +289,13 @@ def _policy_start_schedules(
     from repro.core.fastsim import FastPolicyKind, run_fast
 
     id_base = np.concatenate(([0], np.cumsum(reservations)))
+    prepared = prepare_population(demands[None], reservations[None], model.period)
     starts = []
     for phi in (0.25, 0.5, 0.75):
         for kind in (FastPolicyKind.ONLINE, FastPolicyKind.ALL_SELLING):
-            result = run_fast(demands, reservations, model, phi=phi, kind=kind)
+            result = run_fast(
+                demands, reservations, model, phi=phi, kind=kind, precomputed=prepared
+            )
             starts.append(
                 {
                     int(id_base[sale.reserved_at]) + sale.batch_index - 1: sale.hour

@@ -2,11 +2,16 @@
 
 This is the only batch engine. :func:`run_population` runs it over a
 population block, and :func:`repro.core.fastsim.run_fast` is a thin
-frontend that hands it one user's row and builds its per-sale records
-from what :func:`run_block` returns. For both, the engine checks the
-arguments, takes the reservation prefix and the active timeline from one
-:class:`PopulationPrecompute`, decides the batches, draws and prices
-clearing, runs the cancellation post-pass and prices the costs.
+frontend that hands it one user's row and builds its per-sale records,
+on first read, from what :func:`run_block` returns. For both, the engine
+checks the policy arguments, takes every policy-independent fact of the
+row or block — the reservation prefix, the active timeline, the batch
+events (every ``(row, t0)`` with ``n > 0``) and the row totals ``Σd``
+and ``Σn`` — from one :class:`PopulationPrecompute`, decides the
+batches, draws and prices clearing, runs the cancellation post-pass and
+prices the costs. A sweep prepares that once per user (for
+``run_fast``) or per block and passes it to every policy run as
+``precomputed=``.
 
 The rule — the ``l`` running sum, the freeness test
 ``r_j − d_j − i + 1 > l_j`` and the history/future ``r_k`` decrements on
@@ -15,6 +20,8 @@ collapses make its cost follow the batches, not the hours or instances:
 
 1. Only decision hours ``t0 + φT`` with ``n[t0] > 0`` inside the horizon
    are visited; no other hour of the pseudocode's loop decides anything.
+   They are the prepared batch events with ``t0 < H − round(φT)``,
+   selected per run instead of found by a scan of ``n``.
 2. A rewrite of the schedule ``n_k`` only touches ``n[t0]``, at hour
    ``t0 + φT``: after every earlier window has closed and before any
    later one reads below its own ``t0' + 1``. So ``l`` always reads the
@@ -56,8 +63,10 @@ single user: on ``perfbench``'s ``sweep-user`` (30 paper-preset users ×
 against 22.7 and 24.0, and the loop with a 2-D difference-array
 settlement +19%. The loop with slice rewrites and one prefix sum per
 call measured 20.4 against 23.1 for the previous per-user engine
-(medians of 10 alternating pairs): about 160 users/s, seven policies
-each.
+(medians of 10 alternating pairs). Preparing each user's row once for
+its seven policies and building ``run_fast``'s records only when read
+then took it from 19.35 to 12.65 (medians of 10 alternating pairs):
+about 255 users/s, seven policies each, against about 125 before.
 
 The pseudocode-literal loop is the test reference
 (``tests/core/fastsim_reference.py``): every ``run_fast`` field must
@@ -216,24 +225,36 @@ class PopulationResult:
 
 
 class PopulationPrecompute:
-    """Checked tensors plus the policy-independent timelines.
+    """Checked tensors plus the policy-independent facts of a block.
 
-    The reservation prefix ``[0, cumsum(n)]`` and the active-reservation
+    The reservation prefix ``[0, cumsum(n)]``, the active-reservation
     timeline (each ``n[u, h]`` covers ``[h, h + T)``, so ``active[u, h]
-    = prefix[u, h + 1] − prefix[u, max(h + 1 − T, 0)]``) depend on
-    ``(demands, reservations, period)`` alone — nothing about φ, the
+    = prefix[u, h + 1] − prefix[u, max(h + 1 − T, 0)]``), the batch
+    events — every ``(row, t0)`` with ``n[row, t0] > 0``, in row-major
+    order — and the per-row totals ``Σd`` and ``Σn`` depend on
+    ``(demands, reservations, period)`` alone: nothing about φ, the
     policy kind or the threshold scale enters them. A sweep runs ~7
-    policies over the *same* block, so :func:`prepare_population` lets
-    callers check once and share both across every policy run of the
-    block. The engine treats every held array as read-only: a run's
-    slack tensor, its settled timeline and its accounting temporaries
-    are its own arrays, built from these without writing to them, which
-    is what keeps sharing bit-safe. Every held tensor is row-wise, so
-    :meth:`take_rows` slices a prepared block exactly. The constructor
-    takes already-checked ``int64`` arrays.
+    policies over the *same* block (or the same user's row), so
+    :func:`prepare_population` lets callers check once and share all of
+    them across every policy run. The engine treats every held array as
+    read-only: a run's slack tensor, its settled timeline and its
+    accounting temporaries are its own arrays, built from these without
+    writing to them, which is what keeps sharing bit-safe. Every held
+    fact is row-wise, so :meth:`take_rows` slices a prepared block
+    exactly. The constructor takes already-checked ``int64`` arrays.
     """
 
-    __slots__ = ("demands", "reservations", "period", "reservation_prefix", "active")
+    __slots__ = (
+        "demands",
+        "reservations",
+        "period",
+        "reservation_prefix",
+        "active",
+        "event_rows",
+        "event_t0",
+        "demand_totals",
+        "reservation_totals",
+    )
 
     def __init__(
         self, demands: np.ndarray, reservations: np.ndarray, period: int
@@ -251,6 +272,11 @@ class PopulationPrecompute:
             active[:, period:] -= prefix[:, 1 : horizon - period + 1]
         self.reservation_prefix = prefix
         self.active = active
+        self.event_rows, self.event_t0 = np.divmod(
+            np.flatnonzero(reservations), horizon
+        )
+        self.demand_totals = demands.sum(axis=1)
+        self.reservation_totals = prefix[:, -1]
 
     def take_rows(self, rows: np.ndarray) -> "PopulationPrecompute":
         """The block of ``rows`` only, sliced rather than recomputed."""
@@ -260,15 +286,27 @@ class PopulationPrecompute:
         part.period = self.period
         part.reservation_prefix = self.reservation_prefix[rows]
         part.active = self.active[rows]
+        # Each taken row's run of events, in the order the rows are taken.
+        first = np.searchsorted(self.event_rows, rows)
+        counts = np.searchsorted(self.event_rows, rows, side="right") - first
+        part.event_rows = np.repeat(np.arange(rows.size), counts)
+        taken = np.arange(part.event_rows.size) + np.repeat(
+            first - (np.cumsum(counts) - counts), counts
+        )
+        part.event_t0 = self.event_t0[taken]
+        part.demand_totals = self.demand_totals[rows]
+        part.reservation_totals = self.reservation_totals[rows]
         return part
 
 
 def prepare_population(
     demands: np.ndarray, reservations: np.ndarray, period: int
 ) -> PopulationPrecompute:
-    """Validate one ``(users × hours)`` block and precompute the
-    policy-independent tensors, for sharing across ``run_population``
-    calls (pass the result as ``precomputed=``)."""
+    """Validate one ``(users × hours)`` block and precompute its
+    policy-independent facts, for sharing across policy runs: pass the
+    result as ``precomputed=`` to :func:`run_population`,
+    :func:`run_population_randomized` or, for a one-row block,
+    :func:`repro.core.fastsim.run_fast`."""
     d = as_count_array(demands, "demands", SimulationError)
     n = as_count_array(reservations, "reservations", SimulationError)
     if d.ndim != 2 or n.ndim != 2 or d.shape != n.shape:
@@ -281,6 +319,16 @@ def prepare_population(
     if d.shape[1] == 0:
         raise SimulationError("the horizon must cover at least one hour")
     return PopulationPrecompute(d, n, period)
+
+
+def check_precomputed(precomputed: PopulationPrecompute, period: int) -> None:
+    """Refuse a prepared block whose period is not the cost model's."""
+    if precomputed.period != period:
+        raise SimulationError(
+            "precomputed block was prepared for a "
+            f"{precomputed.period}-hour period but the cost model uses "
+            f"{period} hours"
+        )
 
 
 class _Decisions(NamedTuple):
@@ -467,7 +515,9 @@ def _decide_row(
     serving = r_physical[0]
     sale_t0: "list[int]" = []
     working_parts = [np.zeros(0, dtype=np.int64)]
-    for t0 in np.flatnonzero(n[: max(horizon - decision_age, 0)]).tolist():
+    event_t0 = precomputed.event_t0
+    deciding = event_t0[: np.searchsorted(event_t0, horizon - decision_age)]
+    for t0 in deciding.tolist():
         t = t0 + decision_age
         _ordered, working, sold = decide_batch(
             expression[t0:t], prefix[t0 + 1], n[t0], threshold
@@ -525,7 +575,9 @@ def _decide_rounds(
 
     # Batches whose decision hour lands inside the horizon
     # (t0 < horizon − φT), in row-major = per-user ascending order.
-    event_rows, event_t0 = np.nonzero(n[:, : max(horizon - decision_age, 0)])
+    inside = precomputed.event_t0 < horizon - decision_age
+    event_rows = precomputed.event_rows[inside]
+    event_t0 = precomputed.event_t0[inside]
     if event_rows.size == 0 or min_selling_free > decision_age:
         # No batches, or even a fully idle window (F = φT) keeps.
         pass
@@ -742,7 +794,6 @@ def run_block(
     ``None`` in their place.
     """
     d = precomputed.demands
-    n = precomputed.reservations
     users, horizon = d.shape
     rule = decision_rule(model, phi, kind, threshold_scale, clearing, SimulationError)
     if cancellation is not None and not isinstance(cancellation, CancellationModel):
@@ -824,14 +875,14 @@ def run_block(
         # Σ max(d − r, 0) = Σ d − Σ min(d, r), exact in int64: one
         # (U × H) temporary instead of three.
         covered_hours = np.minimum(d, r_physical).sum(axis=1)
-        on_demand_hours = d.sum(axis=1) - covered_hours
+        on_demand_hours = precomputed.demand_totals - covered_hours
         if billed_hours is None:
             billed_hours = covered_hours
     result = PopulationResult(
         kind=kind,
         phi=phi,
         on_demand=on_demand_hours.astype(np.float64) * model.p,
-        upfront=n.sum(axis=1).astype(np.float64) * model.big_r,
+        upfront=precomputed.reservation_totals.astype(np.float64) * model.big_r,
         reserved_hourly=billed_hours.astype(np.float64) * model.alpha * model.p,
         sale_income=sale_income,
         instances_sold=decisions.total_sold,
@@ -902,15 +953,10 @@ def run_population(
     per-user ``rebuy`` cost and ``instances_rebought`` tallies,
     bit-identical to ``run_fast(..., cancellation=cancellation)``.
     """
-    period = model.period
     if precomputed is None:
-        precomputed = prepare_population(demands, reservations, period)
-    elif precomputed.period != period:
-        raise SimulationError(
-            "precomputed block was prepared for a "
-            f"{precomputed.period}-hour period but the cost model uses "
-            f"{period} hours"
-        )
+        precomputed = prepare_population(demands, reservations, model.period)
+    else:
+        check_precomputed(precomputed, model.period)
     result, _records = run_block(
         precomputed,
         model,
@@ -935,6 +981,7 @@ def run_population_randomized(
     clearing: "ClearingModel | None" = None,
     clearing_keys: "list[object] | None" = None,
     cancellation: "CancellationModel | None" = None,
+    precomputed: "PopulationPrecompute | None" = None,
 ) -> PopulationResult:
     """Run a :class:`RandomizedSellingPolicy` over a population tensor.
 
@@ -954,8 +1001,11 @@ def run_population_randomized(
     same stable per-user keys the serving layer uses to reproduce its
     draws. ``clearing_keys`` keeps its :func:`run_population` meaning
     and defaults to the row index of the *full* block, so grouping does
-    not re-key the clearing streams. The returned result carries
-    ``drawn_phi`` and has ``phi`` set to NaN (no single fraction
+    not re-key the clearing streams. ``precomputed`` takes a
+    :func:`prepare_population` block as :func:`run_population` does
+    (``demands`` and ``reservations`` are then ignored), so a sweep
+    prepares its block once for every column. The returned result
+    carries ``drawn_phi`` and has ``phi`` set to NaN (no single fraction
     describes the run).
     """
     if not isinstance(policy, RandomizedSellingPolicy):
@@ -963,7 +1013,10 @@ def run_population_randomized(
             f"policy must be a RandomizedSellingPolicy, got "
             f"{type(policy).__name__}"
         )
-    precomputed = prepare_population(demands, reservations, model.period)
+    if precomputed is None:
+        precomputed = prepare_population(demands, reservations, model.period)
+    else:
+        check_precomputed(precomputed, model.period)
     users = precomputed.demands.shape[0]
     keys = _user_keys(user_keys, users, "user_keys")
     resolved_clearing_keys = (

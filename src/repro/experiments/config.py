@@ -19,6 +19,7 @@ without changing any algorithmic behaviour. Three presets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.errors import ExperimentError
@@ -126,6 +127,12 @@ class ExperimentConfig:
 
     def cost_model(self) -> CostModel:
         """The Eq. (1) cost model implied by this configuration."""
+        return self._cost_model
+
+    @cached_property
+    def _cost_model(self) -> CostModel:
+        # Built on first use and kept: the configuration and the model
+        # are both immutable, and every sweep of the configuration asks.
         return CostModel(
             plan=self.plan(),
             selling_discount=self.selling_discount,

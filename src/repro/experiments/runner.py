@@ -179,22 +179,27 @@ class _Column(NamedTuple):
     randomized: "_policies.RandomizedSellingPolicy | None" = None
 
 
+#: The columns every sweep starts with: Keep-Reserved and the online
+#: algorithms; then All-Selling at each spot, when included.
+_STANDARD_COLUMNS = (
+    _Column(_policies.POLICY_KEEP, FastPolicyKind.KEEP_RESERVED),
+    *(_Column(name, phi=phi) for name, phi in _policies.ONLINE_POLICIES.items()),
+)
+_ALL_SELLING_COLUMNS = tuple(
+    _Column(name, FastPolicyKind.ALL_SELLING, phi)
+    for name, phi in _policies.ALL_SELLING_POLICIES.items()
+)
+
+
 def _sweep_columns(
     config: ExperimentConfig, include_all_selling: bool
 ) -> "tuple[_Column, ...]":
-    """The sweep's policies in column order: Keep-Reserved, the online
-    algorithms, All-Selling at each spot (when included), then the extra
-    specs of ``config.policies``. OPT, when included, comes last and is
-    added per user by :func:`_outcome`."""
-    columns = [_Column(_policies.POLICY_KEEP, FastPolicyKind.KEEP_RESERVED)]
-    columns += [
-        _Column(name, phi=phi) for name, phi in _policies.ONLINE_POLICIES.items()
-    ]
+    """The sweep's policies in column order: the standard columns, then
+    the extra specs of ``config.policies``. OPT, when included, comes
+    last and is added per user by :func:`_outcome`."""
+    columns = list(_STANDARD_COLUMNS)
     if include_all_selling:
-        columns += [
-            _Column(name, FastPolicyKind.ALL_SELLING, phi)
-            for name, phi in _policies.ALL_SELLING_POLICIES.items()
-        ]
+        columns += _ALL_SELLING_COLUMNS
     for spec_text in config.policies:
         policy = PolicySpec(spec_text).build()
         if isinstance(policy, _policies.RandomizedSellingPolicy):
@@ -214,12 +219,12 @@ def _sweep_columns(
     return tuple(columns)
 
 
-@dataclass(frozen=True)
-class _SweepTask:
+class _SweepTask(NamedTuple):
     """One picklable unit of sweep work: some users under every column."""
 
     users: "tuple[ExperimentUser, ...]"
     columns: "tuple[_Column, ...]"
+    names: "tuple[str, ...]"  # the columns' names, in column order
     model: CostModel
     include_opt: bool
     clearing: "ClearingModel | None"
@@ -228,11 +233,13 @@ class _SweepTask:
 def _outcome(
     task: _SweepTask,
     user: ExperimentUser,
+    reserved: int,
     totals: "Sequence[float]",
     sold: "Sequence[int]",
     cleared: "Sequence[int]",
 ) -> UserOutcome:
-    """One user's outcome from its column values, in column order.
+    """One user's outcome from its reservation total (the prepared row's)
+    and its column values, in column order.
 
     ``cleared`` is read only under a clearing model. OPT runs here, per
     user, and stays the instant-sale clairvoyant baseline under
@@ -241,10 +248,9 @@ def _outcome(
     instances in order, so a cross-user lockstep would take as many
     steps as the largest user has instances.
     """
-    names = [column.name for column in task.columns]
-    costs = dict(zip(names, totals))
-    sold_counts = dict(zip(names, sold))
-    cleared_counts = None if task.clearing is None else dict(zip(names, cleared))
+    costs = dict(zip(task.names, totals))
+    sold_counts = dict(zip(task.names, sold))
+    cleared_counts = None if task.clearing is None else dict(zip(task.names, cleared))
     if task.include_opt:
         opt = run_offline_optimal(
             user.schedule.demands, user.schedule.reservations, task.model
@@ -258,7 +264,7 @@ def _outcome(
         group=user.group,
         cv=user.cv,
         imitator=user.imitator_name,
-        instances_reserved=user.schedule.total_reserved,
+        instances_reserved=reserved,
         costs=costs,
         instances_sold=sold_counts,
         instances_cleared=cleared_counts,
@@ -266,12 +272,14 @@ def _outcome(
 
 
 def _run_users(task: _SweepTask) -> "list[UserOutcome]":
-    """Worker of ``engine="user"``: ``run_fast`` once per (user, column),
-    with each user's clearing stream and randomized draw keyed by its id."""
+    """Worker of ``engine="user"``: each user's row is checked and
+    prepared once, then ``run_fast`` runs every column over it, with the
+    user's clearing stream and randomized draw keyed by its id."""
     model, clearing = task.model, task.clearing
     outcomes: "list[UserOutcome]" = []
     for user in task.users:
         demands, reservations = user.schedule.demands.values, user.schedule.reservations
+        prepared = prepare_population(demands[None], reservations[None], model.period)
         key = user.user_id
         totals, sold, cleared = [], [], []
         for _, kind, phi, threshold_scale, cancellation, randomized in task.columns:
@@ -281,14 +289,15 @@ def _run_users(task: _SweepTask) -> "list[UserOutcome]":
             result = run_fast(
                 demands, reservations, model,
                 phi if randomized is None else randomized.draw_spot(key),
-                kind, threshold_scale,
+                kind, threshold_scale, precomputed=prepared,
                 clearing=clearing, clearing_key=key, cancellation=cancellation,
             )
-            totals.append(result.total_cost)
-            sold.append(result.instances_sold)
+            totals.append(result.breakdown.total)
+            sold.append(len(result.sales))  # a length: builds no record
             if clearing is not None:
                 cleared.append(result.instances_cleared)
-        outcomes.append(_outcome(task, user, totals, sold, cleared))
+        reserved = int(prepared.reservation_totals[0])
+        outcomes.append(_outcome(task, user, reserved, totals, sold, cleared))
     return outcomes
 
 
@@ -314,7 +323,7 @@ def _run_block(task: _SweepTask) -> "list[UserOutcome]":
         if randomized is None
         else run_population_randomized(
             demands, reservations, model, randomized,
-            user_keys=keys, clearing=clearing, clearing_keys=keys,
+            user_keys=keys, clearing=clearing, clearing_keys=keys, precomputed=prepared,
         )
         for _, kind, phi, threshold_scale, cancellation, randomized in task.columns
     ]
@@ -328,7 +337,8 @@ def _run_block(task: _SweepTask) -> "list[UserOutcome]":
             [result.instances_cleared for result in results if clearing is not None],
         )
     )
-    rows = zip_longest(task.users, totals, sold, cleared, fillvalue=())
+    reserved = prepared.reservation_totals.tolist()
+    rows = zip_longest(task.users, reserved, totals, sold, cleared, fillvalue=())
     return [_outcome(task, *row) for row in rows]
 
 
@@ -351,7 +361,8 @@ def run_user(
         raise TypeError(f"model must be a CostModel, got {cost_model!r}")
     _validate_clearing(clearing)
     columns = _sweep_columns(config, include_all_selling)
-    task = _SweepTask((user,), columns, cost_model, include_opt, clearing)
+    names = tuple(column.name for column in columns)
+    task = _SweepTask((user,), columns, names, cost_model, include_opt, clearing)
     return _run_users(task)[0]
 
 
@@ -522,7 +533,8 @@ def run_sweep(
         model = config.cost_model()  # built once per sweep, shared by all users
     total = len(population)
     columns = _sweep_columns(config, include_all_selling)
-    names = [column.name for column in columns]
+    column_names = tuple(column.name for column in columns)
+    names = list(column_names)
     if include_opt:
         names.append(_policies.POLICY_OPT)
 
@@ -569,10 +581,11 @@ def run_sweep(
             worker, chunk_size = _run_block, 1
         else:
             worker, size, chunk_size = _run_users, 1, None
+        pending_users = [population[index] for index in pending]
         tasks = [
             _SweepTask(
-                tuple(population[index] for index in pending[start : start + size]),
-                columns, model, include_opt, clearing,
+                tuple(pending_users[start : start + size]),
+                columns, column_names, model, include_opt, clearing,
             )
             for start in range(0, len(pending), size)
         ]
@@ -596,9 +609,10 @@ def run_sweep(
                 key = keys[index]
                 if key is not None:
                     store.put(key, _outcome_payload(computed[position]))
-    for position, index in enumerate(pending):
-        outcomes[index] = computed[position]
-    if any(outcome is None for outcome in outcomes):
+    for index, outcome in zip(pending, computed):
+        outcomes[index] = outcome
+    done = [outcome for outcome in outcomes if outcome is not None]
+    if len(done) != total:
         raise ExperimentError("sweep execution lost outcomes; this is a bug")
 
     timing = SweepTiming(
@@ -610,8 +624,4 @@ def run_sweep(
         stage_seconds=timer.stages,
         total_seconds=timer.total_seconds,
     )
-    return SweepResult(
-        config=config,
-        outcomes=[outcome for outcome in outcomes if outcome is not None],
-        timing=timing,
-    )
+    return SweepResult(config=config, outcomes=done, timing=timing)

@@ -17,7 +17,8 @@ Supported value shapes (everything the experiment layer needs):
 * ``numpy.ndarray`` — dtype, shape, and the raw buffer;
 * dataclass instances — class name + every field, recursively;
 * ``dict`` (sorted by encoded key), ``list``, ``tuple``, frozen/sets
-  (sorted by encoded element);
+  (sorted by encoded element); any other sequence hashes as the tuple
+  of its items (``run_fast``'s records, built on first read, are one);
 * any object exposing ``content_digest() -> str``, which takes
   precedence and lets domain types define their own stable identity.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+from collections.abc import Sequence
 from typing import Iterable
 
 import numpy as np
@@ -88,6 +90,8 @@ def _encode(value: object, parts: "list[bytes]") -> None:
         for item in value:
             _encode(item, parts)
         parts.append(b"];")
+    elif isinstance(value, Sequence):
+        _encode(tuple(value), parts)
     elif isinstance(value, (set, frozenset)):
         parts.append(b"set{")
         parts.extend(sorted(_encoded(item) for item in value))

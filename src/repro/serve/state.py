@@ -91,7 +91,16 @@ class StreamDecision:
 
 def _count(value: object, name: str) -> int:
     """One hour's count, refused with ``ServeStateError`` unless it is a
-    single non-negative whole number."""
+    single non-negative whole number.
+
+    A Python ``int`` (not a ``bool``) or a NumPy integer scalar inside
+    ``[0, 2**63)`` is taken as it is; every other input goes through
+    :func:`~repro._arrays.as_count_array`, whose values and messages it
+    keeps."""
+    if type(value) is int or isinstance(value, np.integer):
+        count = int(value)
+        if 0 <= count < 2**63:
+            return count
     array = as_count_array(value, name, ServeStateError)
     if array.ndim:
         raise ServeStateError(f"{name} must be a single count, got shape {array.shape}")

@@ -4,7 +4,9 @@ object-model simulator (the two engines must agree exactly)."""
 import numpy as np
 import pytest
 
+from repro.core import fastsim
 from repro.core.account import CostModel, HourlyFeeMode
+from repro.core.clearing import ClearingModel
 from repro.core.fastsim import FastPolicyKind, run_fast
 from repro.core.policies import (
     AllSellingPolicy,
@@ -163,3 +165,56 @@ class TestEngineEquivalence:
             )
             fast = run_fast(demands, reservations, scaled_model, phi=phi)
             assert slow.breakdown.approx_equal(fast.breakdown)
+
+
+class TestRecordsOnRead:
+    """``run_fast`` builds its per-sale records only when they are read:
+    a sweep reads costs and counts, never the records."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        built = []
+        original = getattr(fastsim, name)
+
+        def build(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fastsim, name, build)
+        return built
+
+    def test_no_sale_is_built_until_the_sales_are_read(self, toy_model, monkeypatch):
+        built = self.counting(monkeypatch, "FastSale")
+        result = run_fast(
+            np.zeros(16, dtype=np.int64), np.array([3] + [0] * 15), toy_model, phi=0.5
+        )
+        assert built == []
+        assert result.instances_sold == result.instances_cleared == 2
+        assert built == []
+        assert [sale.batch_index for sale in result.sales] == [1, 2]
+        assert len(built) == 2
+        assert result.sales[0] is result.sales[0]  # built once, then kept
+        assert len(built) == 2
+
+    def test_listings_are_built_on_read_and_counted(self, toy_model, monkeypatch):
+        built = self.counting(monkeypatch, "FastListing")
+        # The horizon ends two hours after the listings open, before any
+        # clears or expires: every listing is still open.
+        result = run_fast(
+            np.zeros(6, dtype=np.int64), np.array([3] + [0] * 5), toy_model,
+            phi=0.5, clearing=ClearingModel.for_regime("thin", seed=1),
+        )
+        assert built == []
+        assert len(result.listings) == result.instances_sold == 2
+        assert built == []
+        assert result.listings_open == 2
+        assert (result.instances_cleared, result.listings_expired) == (0, 0)
+        assert len(built) == 2
+
+    def test_records_equal_the_tuple_of_their_items(self, toy_model):
+        result = run_fast(S1_DEMANDS, S1_RESERVATIONS, toy_model, phi=0.5)
+        items = tuple(result.sales)
+        assert result.sales == items and items == result.sales
+        assert result.sales != items[:-1]
+        assert hash(result.sales) == hash(items)
+        assert result.listings == ()

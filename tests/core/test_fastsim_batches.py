@@ -8,7 +8,9 @@ each sale (with its batch index and working hours), the on-demand and
 physical timelines, the listings and the re-buys — over seeded cases
 that mix batches of 1–60 instances, every policy kind, decision spots
 that round to 0 and to T, threshold scales up to 1e308, every clearing
-regime, cancellation, both hourly-fee modes and a marketplace fee.
+regime, cancellation, both hourly-fee modes and a marketplace fee —
+once with ``run_fast`` preparing the user's row itself, once with the
+row prepared beforehand and passed as ``precomputed=``.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.cancellation import CancellationModel
 from repro.core.clearing import ClearingModel
 from repro.core.fastsim import FastPolicyKind, FastResult, run_fast
+from repro.core.popsim import prepare_population
 from repro.pricing.plan import PricingPlan
 from tests.core.fastsim_reference import literal_run_fast
 
@@ -116,6 +119,18 @@ def test_run_fast_equals_the_literal_loop(seed):
     demands, reservations, model, kwargs = make_case(seed)
     assert_same_result(
         run_fast(demands, reservations, model, **kwargs),
+        literal_run_fast(demands, reservations, model, **kwargs),
+    )
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_run_fast_on_a_prepared_row_equals_the_literal_loop(seed):
+    """The same cases with the row prepared once outside ``run_fast``,
+    as the per-user sweep and OPT's seed runs pass it."""
+    demands, reservations, model, kwargs = make_case(seed)
+    prepared = prepare_population(demands[None], reservations[None], model.period)
+    assert_same_result(
+        run_fast(demands, reservations, model, precomputed=prepared, **kwargs),
         literal_run_fast(demands, reservations, model, **kwargs),
     )
 

@@ -290,8 +290,51 @@ class TestSharedPrecompute:
         part = prepared.take_rows(rows)
         fresh = prepare_population(demands[rows], reservations[rows], toy_model.period)
         assert part.period == fresh.period
-        for name in ("demands", "reservations", "active", "reservation_prefix"):
+        for name in (
+            "demands",
+            "reservations",
+            "active",
+            "reservation_prefix",
+            "event_rows",
+            "event_t0",
+            "demand_totals",
+            "reservation_totals",
+        ):
             assert np.array_equal(getattr(part, name), getattr(fresh, name)), name
+
+    def test_a_block_for_another_period_is_refused(self, toy_model):
+        demands, reservations = random_population(3)
+        other = prepare_population(demands, reservations, toy_model.period + 1)
+        policy = RandomizedSellingPolicy(seed=3)
+        with pytest.raises(SimulationError, match="period"):
+            run_population(demands, reservations, toy_model, precomputed=other)
+        with pytest.raises(SimulationError, match="period"):
+            run_population_randomized(
+                demands, reservations, toy_model, policy, precomputed=other
+            )
+        one_row = other.take_rows(np.array([0]))
+        with pytest.raises(SimulationError, match="period"):
+            run_fast(demands[0], reservations[0], toy_model, precomputed=one_row)
+
+    def test_run_fast_takes_a_one_row_block_only(self, toy_model):
+        demands, reservations = random_population(2)
+        two_rows = prepare_population(demands, reservations, toy_model.period)
+        with pytest.raises(SimulationError, match="one-row block, got 2 rows"):
+            run_fast(demands[0], reservations[0], toy_model, precomputed=two_rows)
+
+    def test_randomized_runs_on_a_shared_block(self, toy_model):
+        """Passing the prepared block changes no bit of the result."""
+        demands, reservations = random_population(12, start_seed=160)
+        prepared = prepare_population(demands, reservations, toy_model.period)
+        policy = RandomizedSellingPolicy(seed=11, spots=(0.25, 0.5, 0.75))
+        fresh = run_population_randomized(demands, reservations, toy_model, policy)
+        shared = run_population_randomized(
+            None, None, toy_model, policy, precomputed=prepared
+        )
+        for name in ("total_costs", "instances_sold", "drawn_phi"):
+            got, want = getattr(shared, name), getattr(fresh, name)
+            got, want = (got(), want()) if callable(got) else (got, want)
+            assert np.array_equal(got, want), name
 
     def test_randomized_refuses_bad_input_before_any_group(
         self, toy_model, monkeypatch

@@ -55,3 +55,50 @@ def test_stream_refuses_what_run_fast_refuses(demands, reservations):
     # Integral floats stay accepted, as in run_fast.
     whole = run_stream([2.0, np.float64(1.0)], [1.0, 0], MODEL)
     assert whole.breakdown == run_stream([2, 1], [1, 0], MODEL).breakdown
+
+
+@pytest.mark.parametrize(
+    "value, accepted, refusal",
+    [
+        (3, 3, None),
+        (np.int64(3), 3, None),
+        (np.uint64(2**63 + 5), None, "must lie in the int64 range"),
+        (2**70, None, "must lie in the int64 range"),
+        (-1, None, "must be non-negative, got -1"),
+        (True, 1, None),
+        (np.bool_(True), 1, None),
+        (2.0, 2, None),
+        (2.5, None, "must be whole instance counts"),
+        (math.nan, None, "must be finite"),
+        ("3", None, "must be integer-valued"),
+        (None, None, "must be finite"),
+        (np.array(3), 3, None),
+    ],
+    ids=[
+        "int", "int64", "uint64-past-int64", "int-2**70", "negative", "bool",
+        "numpy-bool", "whole-float", "fractional-float", "nan", "str", "none",
+        "zero-d-array",
+    ],
+)
+@pytest.mark.parametrize("argument", ["demand", "reservations"])
+def test_an_hourly_scalar_is_taken_or_refused_as_an_array_would_be(
+    value, accepted, refusal, argument
+):
+    """Each hourly count is accepted with its value, or refused with its
+    message, exactly as a one-element count array would be."""
+    tracker = StreamTracker(MODEL)
+
+    def observe():
+        if argument == "demand":
+            tracker.observe(value)
+        else:
+            tracker.observe(0, value)
+
+    if refusal is not None:
+        with pytest.raises(ServeStateError, match=f"^{argument} {refusal}"):
+            observe()
+        return
+    observe()
+    breakdown = tracker.breakdown
+    taken = breakdown.on_demand if argument == "demand" else breakdown.upfront / MODEL.big_r
+    assert taken == accepted

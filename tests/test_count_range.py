@@ -65,6 +65,27 @@ def test_counts_past_int64_are_refused_as_such(entry, error, value):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda values: run_fast(values, NO_RESERVATIONS, MODEL).on_demand,
+        lambda values: prepare_population(values[None], NO_RESERVATIONS[None], 8).demands[0],
+        lambda values: PopulationStore.from_dense(
+            values[None], NO_RESERVATIONS[None]
+        ).demands_block(0, 1)[0],
+    ],
+    ids=["run-fast", "prepare-population", "population-store"],
+)
+def test_object_integers_convert_exactly(entry):
+    """A float view rounds 2**62 + 1 to 2**62; object arrays of integers
+    convert exactly, and past int64 they are still refused as such."""
+    exact = 2**62 + 1
+    assert entry(np.array([exact, True], dtype=object)).tolist() == [exact, 1]
+    with pytest.raises((SimulationError, WorkloadError), match=r"int64 range"):
+        entry(np.array([2**63, 1], dtype=object))
+
+
+@pytest.mark.filterwarnings("error")
 def test_int64_extremes_still_pass_the_coercion():
     top = np.iinfo(np.int64).max
     for values in (np.array([top], dtype=np.uint64), np.array([top])):

@@ -7,7 +7,9 @@ breaks only ``python -m pytest perfbench``, which this suite does not
 collect; installing both span sets here fails on the first name gone.
 A name can also stay bound while the runner stops calling through it,
 which leaves a traced layer at zero; a tiny traced sweep per engine
-catches that.
+catches that. Both engines prepare each user's row or each block once
+for all its columns through ``popsim.prepare``, so a runner that stops
+sharing the prepared row fails here too.
 """
 
 from types import SimpleNamespace
@@ -42,7 +44,7 @@ SHARED_LAYERS = ("offline.run", "clearing", "cancellation")
 @pytest.mark.parametrize(
     "engine, layers",
     [
-        ("user", ("fastsim.run",) + SHARED_LAYERS),
+        ("user", ("fastsim.run", "popsim.prepare") + SHARED_LAYERS),
         (
             "population",
             ("popsim.prepare", "popsim.run", "popsim.randomized") + SHARED_LAYERS,
