@@ -46,7 +46,7 @@ from numpy.typing import ArrayLike
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.instance import ReservedInstance
 from repro.core.policies import POLICY_OPT, ScriptedSellingPolicy
-from repro.core.popsim import prepare_population
+from repro.core.popsim import decision_rule, prepare_population
 from repro.core.simulator import SimulationResult, _normalise_reservations, run_policy
 from repro.errors import SimulationError
 from repro.workload.base import TraceLike, as_trace
@@ -284,24 +284,36 @@ def _policy_start_schedules(
     Starting the descent from each policy's schedule guarantees the
     returned benchmark is at least as cheap as that policy (descent
     never worsens its seed) — the dominance property the experiments
-    rely on becomes structural rather than empirical.
+    rely on becomes structural rather than empirical. All-Selling's sell
+    set is closed-form: every instance of a batch whose spot
+    ``t0 + round(φT)`` falls inside the horizon sells at that spot.
     """
     from repro.core.fastsim import FastPolicyKind, run_fast
 
     id_base = np.concatenate(([0], np.cumsum(reservations)))
     prepared = prepare_population(demands[None], reservations[None], model.period)
+    horizon = demands.size
     starts = []
     for phi in (0.25, 0.5, 0.75):
-        for kind in (FastPolicyKind.ONLINE, FastPolicyKind.ALL_SELLING):
-            result = run_fast(
-                demands, reservations, model, phi=phi, kind=kind, precomputed=prepared
-            )
-            starts.append(
-                {
-                    int(id_base[sale.reserved_at]) + sale.batch_index - 1: sale.hour
-                    for sale in result.sales
-                }
-            )
+        result = run_fast(demands, reservations, model, phi=phi, precomputed=prepared)
+        starts.append(
+            {
+                int(id_base[sale.reserved_at]) + sale.batch_index - 1: sale.hour
+                for sale in result.sales
+            }
+        )
+        rule = decision_rule(
+            model, phi, FastPolicyKind.ALL_SELLING, 1.0, None, SimulationError
+        )
+        last = horizon - rule.decision_age if rule.evaluate else 0
+        selling = prepared.event_t0[prepared.event_t0 < last]
+        starts.append(
+            {
+                instance: t0 + rule.decision_age
+                for t0 in selling.tolist()
+                for instance in range(int(id_base[t0]), int(id_base[t0 + 1]))
+            }
+        )
     return starts
 
 

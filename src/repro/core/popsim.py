@@ -11,7 +11,12 @@ and ``Σn`` — from one :class:`PopulationPrecompute`, decides the
 batches, draws and prices clearing, runs the cancellation post-pass and
 prices the costs. A sweep prepares that once per user (for
 ``run_fast``) or per block and passes it to every policy run as
-``precomputed=``.
+``precomputed=``. A many-row block also records each decision run made
+on it, so a policy that repeats another's decisions does not make them
+again: the randomized mixture over T/4, T/2 and 3T/4 takes each spot
+group's rows from the online run at that spot, and a cancellation
+policy (which never changes a decision) re-buys from the sales of the
+online run it shares its key with.
 
 The rule — the ``l`` running sum, the freeness test
 ``r_j − d_j − i + 1 > l_j`` and the history/future ``r_k`` decrements on
@@ -51,13 +56,15 @@ built only when a batch decides inside the horizon, so a window always
 fits): each round gathers its rows' windows into one copy and
 partitions that copy in place, and the history rewrites go to
 ``expression``, which the view sees. All-Selling reads no window at
-all. Sales settle in place: the ``(U, H + 1)`` difference array is
-cumsummed in its own buffer and the active timeline added to its first
-``H`` columns. Many rows count on-demand hours as ``Σd − Σmin(d, r)``,
-exact in int64, which spares the ``(U × H)`` on-demand temporaries; one
-row keeps ``max(d − r, 0)``, the hourly array its records carry. One
-row keeps its loop because the rounds cost more on a
-single user: on ``perfbench``'s ``sweep-user`` (30 paper-preset users ×
+all. Many rows settle row by row: only a row that lost units (sold
+under instant sales, cleared under clearing) has its timeline rebuilt,
+in one reused ``H``-hour buffer, and priced as ``Σd − Σmin(d, r)``
+on-demand hours, exact in int64; every other row is priced from the
+block's ``Σmin(d, active)`` and ``Σactive``, computed on first use, so
+no run builds a ``(U × H)`` array after its decisions. One row keeps
+the timeline its loop rewrote and ``max(d − r, 0)``, the hourly arrays
+its records carry. One row keeps its loop because the rounds cost more
+on a single user: on ``perfbench``'s ``sweep-user`` (30 paper-preset users ×
 7 policies, 17,520 hours, one row per call, 2-core x86-64 host)
 ``run_fast`` on the rounds alone measured ``latency_norm`` 30.9 and 33.6
 against 22.7 and 24.0, and the loop with a 2-D difference-array
@@ -100,6 +107,7 @@ from repro.core.breakeven import (
 from repro.core.cancellation import (
     CancellationModel,
     Rebuy,
+    RebuyOutcome,
     SoldUnit,
     apply_rebuys,
 )
@@ -242,6 +250,15 @@ class PopulationPrecompute:
     writing to them, which is what keeps sharing bit-safe. Every held
     fact is row-wise, so :meth:`take_rows` slices a prepared block
     exactly. The constructor takes already-checked ``int64`` arrays.
+
+    A many-row block also records each decision run made on it, in
+    :attr:`runs`, keyed by what decides, sells and prices the run (see
+    :func:`_run_key`): a later policy run under the same key takes the
+    recorded sales and hour totals instead of deciding again. A record
+    holds per-user and per-sale arrays only, never a ``(U × H)`` one.
+    The per-row hour totals of the unsold timeline
+    (:meth:`unsold_totals`) are computed on first use, so one-row
+    blocks, which never price from them, never pay for them.
     """
 
     __slots__ = (
@@ -254,6 +271,8 @@ class PopulationPrecompute:
         "event_t0",
         "demand_totals",
         "reservation_totals",
+        "runs",
+        "_unsold_totals",
     )
 
     def __init__(
@@ -277,9 +296,26 @@ class PopulationPrecompute:
         )
         self.demand_totals = demands.sum(axis=1)
         self.reservation_totals = prefix[:, -1]
+        self.runs: "dict[tuple, _Run]" = {}
+        self._unsold_totals: "tuple[np.ndarray, np.ndarray] | None" = None
+
+    def unsold_totals(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-row ``Σ min(d, active)`` and ``Σ active``: the covered and
+        active hours of a row that loses no unit. Computed on first use
+        and kept, read-only, for every later run."""
+        if self._unsold_totals is None:
+            totals = (
+                np.minimum(self.demands, self.active).sum(axis=1),
+                self.active.sum(axis=1),
+            )
+            for array in totals:
+                array.flags.writeable = False
+            self._unsold_totals = totals
+        return self._unsold_totals
 
     def take_rows(self, rows: np.ndarray) -> "PopulationPrecompute":
-        """The block of ``rows`` only, sliced rather than recomputed."""
+        """The block of ``rows`` only, sliced rather than recomputed. The
+        recorded runs and the unsold totals stay with this block."""
         part = object.__new__(PopulationPrecompute)
         part.demands = self.demands[rows]
         part.reservations = self.reservations[rows]
@@ -296,6 +332,8 @@ class PopulationPrecompute:
         part.event_t0 = self.event_t0[taken]
         part.demand_totals = self.demand_totals[rows]
         part.reservation_totals = self.reservation_totals[rows]
+        part.runs = {}
+        part._unsold_totals = None
         return part
 
 
@@ -336,15 +374,64 @@ class _Decisions(NamedTuple):
 
     total_sold: np.ndarray  # (U,) sales per user
     #: Per-sale ``(row, t0)`` events grouped by row, each user's in
-    #: decision order (ascending ``t0``, then batch index); empty when
-    #: neither the settlement nor the records need them.
+    #: decision order (ascending ``t0``, then batch index).
     rows: np.ndarray
     t0: np.ndarray
-    #: The physical timeline after instant sales (``precomputed.active``
-    #: itself under clearing, which moves it at the clear hours instead).
-    r_physical: np.ndarray  # (U, H)
     #: Each sale's working hours; only the one-row step computes them.
     working: np.ndarray
+    #: One row under instant sales: the ``(1, H)`` physical timeline its
+    #: loop rewrote. ``None`` otherwise: the settlement builds it.
+    settled: "np.ndarray | None" = None
+
+
+def _no_decisions(users: int) -> _Decisions:
+    """No sale on any of ``users`` rows."""
+    empty = np.zeros(0, dtype=np.int64)
+    return _Decisions(np.zeros(users, dtype=np.int64), empty, empty, empty)
+
+
+class _Lost(NamedTuple):
+    """Units that leave service before their term ends, grouped by row
+    in sale order: unit ``i`` of row ``rows[i]``, reserved at ``t0[i]``,
+    serves until ``start[i]`` (its decision hour under instant sales,
+    its clear hour under clearing) and not again before
+    ``min(t0[i] + T, H)``. A cancellation post-pass watches exactly
+    these units, each from its ``start``."""
+
+    rows: np.ndarray
+    t0: np.ndarray
+    start: np.ndarray
+
+
+class _Hours(NamedTuple):
+    """Per-user hour totals of a settled timeline ``r``, as priced."""
+
+    on_demand: np.ndarray  # (U,) int64 — Σ max(d − r, 0)
+    billed: np.ndarray  # (U,) int64 — Σ r, or Σ min(d, r) under USAGE
+
+
+class _Rebought(NamedTuple):
+    """A cancellation post-pass's per-user outcome."""
+
+    cost: np.ndarray  # (U,) float64 — buy-back cost totals
+    count: np.ndarray  # (U,) int64
+    hours: _Hours  # with the re-bought units serving again
+
+
+#: Cleared, expired and still-open listings per user, in that order.
+_Tallies = tuple[np.ndarray, ...]
+
+
+class _Run(NamedTuple):
+    """One decision run of a many-row block, as recorded on its
+    :class:`PopulationPrecompute`: everything a later run with the same
+    key needs, and no ``(U × H)`` array."""
+
+    sold: np.ndarray  # (U,) int64
+    lost: _Lost
+    sale_income: np.ndarray  # (U,) float64
+    tallies: "_Tallies | None"  # ``None`` without a clearing model
+    hours: _Hours  # before any re-buy
 
 
 class Listings(NamedTuple):
@@ -437,6 +524,42 @@ def cleared_income(
     )
 
 
+def _run_key(
+    model: CostModel,
+    rule: DecisionRule,
+    clearing: "ClearingModel | None",
+    clearing_keys: "list[object]",
+) -> "tuple | None":
+    """What decides, sells and prices a run of a block: two runs under
+    equal keys make the same sales, draw the same listings and book the
+    same incomes and hours, whatever their kind, φ or cancellation
+    model. The clearing keys count with their types, since equal values
+    of two types need not name the same stream. ``None`` when a key is
+    unhashable; such a run is not recorded."""
+    key = (
+        model,
+        rule.decision_age,
+        rule.threshold,
+        rule.evaluate,
+        clearing,
+        tuple(clearing_keys),
+        tuple(map(type, clearing_keys)),
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _check_cancellation(cancellation: object) -> None:
+    if cancellation is not None and not isinstance(cancellation, CancellationModel):
+        raise SimulationError(
+            f"cancellation must be a CancellationModel or None, got "
+            f"{type(cancellation).__name__}"
+        )
+
+
 def _user_keys(keys: "list[object] | None", users: int, name: str) -> "list[object]":
     """One key per user: ``keys`` as given, by default the row index."""
     resolved = list(range(users)) if keys is None else list(keys)
@@ -469,14 +592,120 @@ def _row_groups(rows: np.ndarray) -> "list[tuple[int, int]]":
     return list(zip([0, *bounds], [*bounds, rows.size])) if rows.size else []
 
 
-def _settle(active: np.ndarray, sale_delta: np.ndarray) -> np.ndarray:
-    """``active`` plus the sales' ``(U, H + 1)`` difference array, built
-    in the difference array's own buffer: returns a view of its first
-    ``H`` columns and never writes to ``active``."""
-    np.cumsum(sale_delta, axis=1, out=sale_delta)
-    settled = sale_delta[:, : active.shape[1]]
-    settled += active
-    return settled
+def _lose_units(
+    base: np.ndarray, start: np.ndarray, end: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """One row's timeline ``base`` less one unit over each ``[start,
+    end)``, built in ``buffer`` (``H`` long) and returned; ``base`` is
+    never written to.
+
+    The units lost at each hour form a step function with a step at
+    every ``start`` and ``end``: the steps are sorted, summed, and each
+    level repeated until the next step, so the work beyond copying
+    ``base`` follows the units and the hours they span, with no scan of
+    a difference array. (A step on the horizon repeats zero times.)
+    """
+    steps = np.concatenate((start, end))
+    order = np.argsort(steps)
+    steps = steps[order]
+    # The starts come first in ``steps``: each lowers the level by one.
+    levels = np.cumsum(np.where(order < start.size, -1, 1))
+    buffer[:] = base
+    buffer[steps[0] :] += np.repeat(levels, np.diff(steps, append=base.size))
+    return buffer
+
+
+def _row_hours(
+    model: CostModel, demand: np.ndarray, demand_total: int, timeline: np.ndarray
+) -> "tuple[int, int]":
+    """One row's on-demand and billed hours, exact in int64:
+    ``Σ max(d − r, 0) = Σ d − Σ min(d, r)``."""
+    covered = int(np.minimum(demand, timeline).sum())
+    billed = int(timeline.sum()) if model.fee_mode is HourlyFeeMode.ACTIVE else covered
+    return demand_total - covered, billed
+
+
+def _rebuy(
+    cancellation: CancellationModel,
+    model: CostModel,
+    demand: np.ndarray,
+    timeline: np.ndarray,
+    t0: np.ndarray,
+    watch_from: np.ndarray,
+    term_end: np.ndarray,
+) -> RebuyOutcome:
+    """The static re-buy rule over one row's sold units, in sale order."""
+    units = [
+        SoldUnit(reserved_at=reserved_at, watch_from=watch, term_end=end)
+        for reserved_at, watch, end in zip(
+            t0.tolist(), watch_from.tolist(), term_end.tolist()
+        )
+    ]
+    return apply_rebuys(demand, timeline, units, model.period, model, cancellation)
+
+
+def _settle_rows(
+    precomputed: PopulationPrecompute,
+    model: CostModel,
+    lost: _Lost,
+    cancellation: "CancellationModel | None",
+    hours: "_Hours | None" = None,
+) -> "tuple[_Hours, _Rebought | None]":
+    """Settle a many-row run row by row, rebuilding only what changed.
+
+    Each row that lost units has its timeline rebuilt in one reused
+    ``H``-hour buffer (:func:`_lose_units`) and priced; with a
+    cancellation model its units then go to the re-buy rule, and a
+    re-buying row is priced again on its repaired timeline. Every other
+    row is priced from the block's :meth:`~PopulationPrecompute.unsold_totals`.
+    ``hours`` passes a recorded run's totals, which then need no
+    pricing. Returns the hours before re-buys and, with a cancellation
+    model, the re-buys.
+    """
+    demands = precomputed.demands
+    users, horizon = demands.shape
+    totals = precomputed.demand_totals
+    fresh = hours is None
+    if hours is None:
+        # Rows that lose no unit keep the block's unsold totals.
+        covered, active = precomputed.unsold_totals()
+        billed = active if model.fee_mode is HourlyFeeMode.ACTIVE else covered
+        hours = _Hours(totals - covered, billed.copy())
+    if not fresh and cancellation is None:
+        return hours, None
+    end = np.minimum(lost.t0 + precomputed.period, horizon)
+    buffer = np.empty(horizon, dtype=np.int64)
+    repaired: "list[tuple[int, RebuyOutcome]]" = []
+    for start, stop in _row_groups(lost.rows):
+        row = int(lost.rows[start])
+        timeline = _lose_units(
+            precomputed.active[row], lost.start[start:stop], end[start:stop], buffer
+        )
+        if fresh:
+            hours.on_demand[row], hours.billed[row] = _row_hours(
+                model, demands[row], int(totals[row]), timeline
+            )
+        if cancellation is not None:
+            outcome = _rebuy(
+                cancellation, model, demands[row], timeline,
+                lost.t0[start:stop], lost.start[start:stop], end[start:stop],
+            )
+            if outcome.rebuys:
+                repaired.append((row, outcome))
+    if cancellation is None:
+        return hours, None
+    rebought = _Rebought(
+        np.zeros(users, dtype=np.float64),
+        np.zeros(users, dtype=np.int64),
+        _Hours(hours.on_demand.copy(), hours.billed.copy()),
+    )
+    for row, outcome in repaired:
+        rebought.cost[row] = outcome.rebuy_cost
+        rebought.count[row] = len(outcome.rebuys)
+        rebought.hours.on_demand[row], rebought.hours.billed[row] = _row_hours(
+            model, demands[row], int(totals[row]), outcome.r_after
+        )
+    return hours, rebought
 
 
 def decide_batch(
@@ -534,33 +763,20 @@ def _decide_row(
         total_sold=np.array([total], dtype=np.int64),
         rows=np.zeros(total, dtype=np.int64),
         t0=np.array(sale_t0, dtype=np.int64),
-        r_physical=r_physical,
         working=np.concatenate(working_parts),
+        settled=r_physical if instant else None,
     )
 
 
 def _decide_rounds(
-    precomputed: PopulationPrecompute,
-    decision_age: int,
-    threshold: float,
-    instant: bool,
-    collect_events: bool,
+    precomputed: PopulationPrecompute, decision_age: int, threshold: float
 ) -> _Decisions:
-    """Many rows: round ``j`` decides every user's ``j``-th batch at once.
-
-    The per-sale events are collected only when ``collect_events``;
-    under ``instant`` sales the physical timeline gathers every sale in
-    a difference array, settled in place at the end.
-    """
+    """Many rows: round ``j`` decides every user's ``j``-th batch at once."""
     d = precomputed.demands
     n = precomputed.reservations
     period = precomputed.period
     users, horizon = d.shape
-    r_physical = precomputed.active
     total_sold = np.zeros(users, dtype=np.int64)
-    # Sales' effect on the active-instance timeline, as a difference
-    # array (one extra column swallows end == horizon).
-    sale_delta: "np.ndarray | None" = None
     rows_parts: "list[np.ndarray]" = []
     t0_parts: "list[np.ndarray]" = []
     if math.isfinite(threshold):
@@ -586,20 +802,9 @@ def _decide_rounds(
         # the whole run is closed-form.
         counts = n[event_rows, event_t0]
         np.add.at(total_sold, event_rows, counts)
-        if instant:
-            sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
-            np.subtract.at(sale_delta, (event_rows, event_t0 + decision_age), counts)
-            np.add.at(
-                sale_delta,
-                (event_rows, np.minimum(event_t0 + period, horizon)),
-                counts,
-            )
-        if collect_events:
-            rows_parts.append(np.repeat(event_rows, counts))
-            t0_parts.append(np.repeat(event_t0, counts))
+        rows_parts.append(np.repeat(event_rows, counts))
+        t0_parts.append(np.repeat(event_t0, counts))
     else:
-        if instant:
-            sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
         n_prefix = precomputed.reservation_prefix
         # The window's slack is expression + n_prefix[u, t0 + 1], a
         # per-row constant that commutes with taking an order statistic,
@@ -607,7 +812,7 @@ def _decide_rounds(
         # gather is needed per round. Every batch here decides inside
         # the horizon, so a window always fits; the strided view sees
         # the history rewrites made to ``expression``.
-        expression = np.subtract(r_physical, d)
+        expression = np.subtract(precomputed.active, d)
         expression -= n_prefix[:, 1:]
         windows = np.lib.stride_tricks.sliding_window_view(
             expression, decision_age, axis=1
@@ -637,37 +842,26 @@ def _decide_rounds(
             sell_rows = rows[sellers]
             sell_t0 = t0[sellers]
             sell_counts = sold[sellers]
-            sell_end = np.minimum(sell_t0 + period, horizon)
-            if sale_delta is not None:
-                # One row per seller within a round: plain fancy
-                # assignment is safe (no duplicate indices).
-                sale_delta[sell_rows, sell_t0 + decision_age] -= sell_counts
-                sale_delta[sell_rows, sell_end] += sell_counts
-            if collect_events:
-                rows_parts.append(np.repeat(sell_rows, sell_counts))
-                t0_parts.append(np.repeat(sell_t0, sell_counts))
+            rows_parts.append(np.repeat(sell_rows, sell_counts))
+            t0_parts.append(np.repeat(sell_t0, sell_counts))
             total_sold[sell_rows] += sell_counts
             for row, start, stop, count in zip(
                 sell_rows.tolist(),
                 sell_t0.tolist(),
-                sell_end.tolist(),
+                np.minimum(sell_t0 + period, horizon).tolist(),
                 sell_counts.tolist(),
             ):
                 expression[row, start:stop] -= count
 
-    if sale_delta is not None and total_sold.any():
-        r_physical = _settle(r_physical, sale_delta)
-    if rows_parts:
-        # Rounds interleave users; a stable row sort restores each
-        # user's (t0, batch) order.
-        rows_all = np.concatenate(rows_parts)
-        t0_all = np.concatenate(t0_parts)
-        order = np.argsort(rows_all, kind="stable")
-        rows_all, t0_all = rows_all[order], t0_all[order]
-    else:
-        rows_all = t0_all = np.zeros(0, dtype=np.int64)
+    if not rows_parts:
+        return _no_decisions(users)
+    # Rounds interleave users; a stable row sort restores each user's
+    # (t0, batch) order.
+    rows_all = np.concatenate(rows_parts)
+    t0_all = np.concatenate(t0_parts)
+    order = np.argsort(rows_all, kind="stable")
     no_hours = np.zeros(0, dtype=np.int64)
-    return _Decisions(total_sold, rows_all, t0_all, r_physical, no_hours)
+    return _Decisions(total_sold, rows_all[order], t0_all[order], no_hours)
 
 
 def _apply_clearing(
@@ -677,19 +871,17 @@ def _apply_clearing(
     decisions: _Decisions,
     decision_age: int,
     horizon: int,
-) -> "tuple[Listings, np.ndarray, np.ndarray]":
+) -> "tuple[Listings, np.ndarray]":
     """Open one listing per sale, draw its delay and price its clearing.
 
     The sales arrive grouped by row in each user's decision order — the
     order the draws are consumed in — and ``Generator.random(size=k)``
     consumes a stream exactly as ``k`` scalar draws do
-    (``tests/core/test_clearing.py`` pins this). Returns the listings,
-    each user's income (summed in clear-hour order), and the physical
-    timeline with every cleared unit leaving at its clear hour.
+    (``tests/core/test_clearing.py`` pins this). Returns the listings
+    and each user's income, summed in clear-hour order.
     """
-    period = model.period
     users = decisions.total_sold.size
-    profile = clearing.profile(model.selling_discount, period, decision_age)
+    profile = clearing.profile(model.selling_discount, model.period, decision_age)
     rows, t0 = decisions.rows, decisions.t0
     uniforms = np.empty(rows.size, dtype=np.float64)
     for start, stop in _row_groups(rows):
@@ -706,18 +898,10 @@ def _apply_clearing(
 
     incomes = np.zeros(rows.size, dtype=np.float64)
     user_income = np.zeros(users, dtype=np.float64)
-    r_physical = decisions.r_physical
     rows_cleared = rows[cleared]
     if rows_cleared.size:
         t0_cleared = t0[cleared]
         tc = clear_at[cleared]
-        # A listed unit keeps serving until its clear hour. Several
-        # listings of one user can clear the same hour, so the
-        # unbuffered add is required.
-        sale_delta = np.zeros((users, horizon + 1), dtype=np.int64)
-        np.add.at(sale_delta, (rows_cleared, tc), -1)
-        np.add.at(sale_delta, (rows_cleared, np.minimum(t0_cleared + period, horizon)), 1)
-        r_physical = _settle(r_physical, sale_delta)
         values = cleared_income(model, profile.discounts[delays[cleared]], tc, t0_cleared)
         incomes[cleared] = values
         # Book each user's income one ``+=`` at a time in (clear hour,
@@ -728,51 +912,160 @@ def _apply_clearing(
             for value in values[start:stop][by_clear_hour].tolist():
                 acc += value
             user_income[int(rows_cleared[start])] = acc
-    listings = Listings(delays, clear_at, cleared, expired, incomes)
-    return listings, user_income, r_physical
+    return Listings(delays, clear_at, cleared, expired, incomes), user_income
 
 
-def _apply_cancellation(
-    cancellation: CancellationModel,
+def _book_sales(
     model: CostModel,
-    demands: np.ndarray,
-    r_physical: np.ndarray,
-    rows: np.ndarray,
-    t0: np.ndarray,
-    watch_from: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray, dict[int, tuple[Rebuy, ...]]]":
-    """The static re-buy rule over each user's sold units, in sale order.
+    rule: DecisionRule,
+    decisions: _Decisions,
+    clearing: "ClearingModel | None",
+    clearing_keys: "list[object]",
+    horizon: int,
+) -> "tuple[np.ndarray, _Tallies | None, Listings | None, _Lost]":
+    """Each user's sale income and, under clearing, listing tallies and
+    listings; and the units the sales take out of service."""
+    users = decisions.total_sold.size
+    rows, t0 = decisions.rows, decisions.t0
+    if clearing is None:
+        income = _sequential_income_table(
+            rule.per_sale_income, int(decisions.total_sold.max(initial=0))
+        )[decisions.total_sold]
+        return income, None, None, _Lost(rows, t0, t0 + rule.decision_age)
+    if rows.size == 0:
+        unlisted = tuple(np.zeros(users, dtype=np.int64) for _ in range(3))
+        return np.zeros(users, dtype=np.float64), unlisted, None, _Lost(rows, t0, t0)
+    listings, income = _apply_clearing(
+        clearing, clearing_keys, model, decisions, rule.decision_age, horizon
+    )
+    cleared = listings.cleared
+    still_open = ~cleared & ~listings.expired
+    tallies = tuple(
+        np.bincount(rows[fate], minlength=users)
+        for fate in (cleared, listings.expired, still_open)
+    )
+    # Only cleared listings leave service, at their clear hour.
+    lost = _Lost(rows[cleared], t0[cleared], listings.clear_at[cleared])
+    return income, tallies, listings, lost
 
-    Edits ``r_physical`` in place (the caller passes a fresh array
-    whenever units exist) and returns the per-user buy-back cost and
-    re-buy count, and each re-buying user's :class:`Rebuy` tuple.
-    """
-    period = model.period
-    users, horizon = demands.shape
-    costs = np.zeros(users, dtype=np.float64)
-    counts = np.zeros(users, dtype=np.int64)
-    rebuys: "dict[int, tuple[Rebuy, ...]]" = {}
-    for start, stop in _row_groups(rows):
-        user = int(rows[start])
-        units = [
-            SoldUnit(
-                reserved_at=reserved_at,
-                watch_from=watch,
-                term_end=min(reserved_at + period, horizon),
+
+def _priced(
+    precomputed: PopulationPrecompute,
+    model: CostModel,
+    kind: FastPolicyKind,
+    phi: float,
+    run: _Run,
+    rebought: "_Rebought | None",
+) -> PopulationResult:
+    """A run's result: its hour totals priced, its own copy of every
+    per-user array a recorded run keeps."""
+    hours = run.hours if rebought is None else rebought.hours
+    tallies = (None, None, None) if run.tallies is None else run.tallies
+    return PopulationResult(
+        kind=kind,
+        phi=phi,
+        on_demand=hours.on_demand.astype(np.float64) * model.p,
+        upfront=precomputed.reservation_totals.astype(np.float64) * model.big_r,
+        reserved_hourly=hours.billed.astype(np.float64) * model.alpha * model.p,
+        sale_income=run.sale_income.copy(),
+        instances_sold=run.sold.copy(),
+        instances_cleared=None if tallies[0] is None else tallies[0].copy(),
+        listings_expired=None if tallies[1] is None else tallies[1].copy(),
+        listings_open=None if tallies[2] is None else tallies[2].copy(),
+        rebuy=None if rebought is None else rebought.cost,
+        instances_rebought=None if rebought is None else rebought.count,
+    )
+
+
+def _finish(
+    precomputed: PopulationPrecompute,
+    model: CostModel,
+    kind: FastPolicyKind,
+    phi: float,
+    run: _Run,
+    cancellation: "CancellationModel | None",
+    rows: "np.ndarray | None" = None,
+) -> PopulationResult:
+    """A recorded run's result, re-bought under ``cancellation``. With
+    ``rows`` (ascending), only those rows' units are re-bought and only
+    their entries of the result are meaningful."""
+    rebought = None
+    if cancellation is not None:
+        lost = run.lost
+        if rows is not None:
+            taken = np.isin(lost.rows, rows)
+            lost = _Lost(lost.rows[taken], lost.t0[taken], lost.start[taken])
+        _hours, rebought = _settle_rows(precomputed, model, lost, cancellation, run.hours)
+    return _priced(precomputed, model, kind, phi, run, rebought)
+
+
+def _run_row(
+    precomputed: PopulationPrecompute,
+    model: CostModel,
+    kind: FastPolicyKind,
+    phi: float,
+    rule: DecisionRule,
+    clearing: "ClearingModel | None",
+    clearing_keys: "list[object]",
+    cancellation: "CancellationModel | None",
+) -> "tuple[PopulationResult, RowRecords]":
+    """A one-row block: the per-batch loop, then the records' hourly
+    timelines. Instant sales leave the timeline the loop rewrote; cleared
+    listings leave at their clear hours."""
+    d = precomputed.demands
+    horizon = d.shape[1]
+    decisions = (
+        _decide_row(precomputed, rule.decision_age, rule.threshold, clearing is None)
+        if rule.evaluate
+        else _no_decisions(1)
+    )
+    income, tallies, listings, lost = _book_sales(
+        model, rule, decisions, clearing, clearing_keys, horizon
+    )
+    r_physical = precomputed.active if decisions.settled is None else decisions.settled
+    rebuys: "tuple[Rebuy, ...]" = ()
+    rebuy_cost = 0.0
+    if lost.rows.size and (clearing is not None or cancellation is not None):
+        end = np.minimum(lost.t0 + model.period, horizon)
+        if clearing is not None:
+            buffer = np.empty(horizon, dtype=np.int64)
+            r_physical = _lose_units(r_physical[0], lost.start, end, buffer)[None]
+        if cancellation is not None:
+            outcome = _rebuy(
+                cancellation, model, d[0], r_physical[0], lost.t0, lost.start, end
             )
-            for reserved_at, watch in zip(
-                t0[start:stop].tolist(), watch_from[start:stop].tolist()
-            )
-        ]
-        outcome = apply_rebuys(
-            demands[user], r_physical[user], units, period, model, cancellation
+            if outcome.rebuys:
+                r_physical = outcome.r_after[None]
+                rebuy_cost = outcome.rebuy_cost
+                rebuys = outcome.rebuys
+    # The records carry the hourly on-demand array. A one-row run is not
+    # recorded, so its hours are those of its final timeline, re-buys
+    # included.
+    on_demand = np.maximum(d - r_physical, 0)
+    hours = _Hours(
+        on_demand.sum(axis=1),
+        r_physical.sum(axis=1)
+        if model.fee_mode is HourlyFeeMode.ACTIVE
+        else np.minimum(d, r_physical).sum(axis=1),
+    )
+    rebought = (
+        None
+        if cancellation is None
+        else _Rebought(
+            np.array([rebuy_cost]), np.array([len(rebuys)], dtype=np.int64), hours
         )
-        if outcome.rebuys:
-            r_physical[user] = outcome.r_after
-            costs[user] = outcome.rebuy_cost
-            counts[user] = len(outcome.rebuys)
-            rebuys[user] = outcome.rebuys
-    return costs, counts, rebuys
+    )
+    run = _Run(decisions.total_sold, lost, income, tallies, hours)
+    result = _priced(precomputed, model, kind, phi, run, rebought)
+    return result, RowRecords(
+        decision_age=rule.decision_age,
+        sale_t0=decisions.t0,
+        working_hours=decisions.working,
+        listings=listings,
+        rebuys=rebuys,
+        r_physical=r_physical[0],
+        on_demand=on_demand[0],
+    )
 
 
 def run_block(
@@ -791,118 +1084,33 @@ def run_block(
     Checks the policy arguments, decides every batch of the block,
     settles clearing and cancellation and prices the costs. A one-row
     block also returns its :class:`RowRecords`; any other returns
-    ``None`` in their place.
+    ``None`` in their place, and records its run on the block: a later
+    run under the same :func:`_run_key` takes the recorded sales and
+    hours, and under a cancellation model re-buys from them.
     """
-    d = precomputed.demands
-    users, horizon = d.shape
+    users, horizon = precomputed.demands.shape
     rule = decision_rule(model, phi, kind, threshold_scale, clearing, SimulationError)
-    if cancellation is not None and not isinstance(cancellation, CancellationModel):
-        raise SimulationError(
-            f"cancellation must be a CancellationModel or None, got "
-            f"{type(cancellation).__name__}"
-        )
-    resolved_keys = (
-        [] if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
-    )
-
-    decision_age = rule.decision_age
-    empty = np.zeros(0, dtype=np.int64)
-    decisions = _Decisions(
-        np.zeros(users, dtype=np.int64), empty, empty, precomputed.active, empty
-    )
-    if rule.evaluate:
-        if users == 1:
-            decisions = _decide_row(
-                precomputed, decision_age, rule.threshold, clearing is None
-            )
-        else:
-            decisions = _decide_rounds(
-                precomputed,
-                decision_age,
-                rule.threshold,
-                clearing is None,
-                clearing is not None or cancellation is not None,
-            )
-
-    r_physical = decisions.r_physical
-    listings: "Listings | None" = None
-    tallies: "list[np.ndarray | None]" = [None, None, None]
-    if clearing is None:
-        sale_income = _sequential_income_table(
-            rule.per_sale_income, int(decisions.total_sold.max(initial=0))
-        )[decisions.total_sold]
-    elif decisions.rows.size == 0:
-        sale_income = np.zeros(users, dtype=np.float64)
-        tallies = [np.zeros(users, dtype=np.int64) for _ in range(3)]
-    else:
-        listings, sale_income, r_physical = _apply_clearing(
-            clearing, resolved_keys, model, decisions, decision_age, horizon
-        )
-        still_open = ~listings.cleared & ~listings.expired
-        tallies = [
-            np.bincount(decisions.rows[fate], minlength=users)
-            for fate in (listings.cleared, listings.expired, still_open)
-        ]
-
-    rebuy_costs: "np.ndarray | None" = None
-    instances_rebought: "np.ndarray | None" = None
-    rebuys: "dict[int, tuple[Rebuy, ...]]" = {}
-    if cancellation is not None:
-        if listings is None:
-            # Instant sales watch from the decision hour.
-            sold_rows, sold_t0 = decisions.rows, decisions.t0
-            watch_from = sold_t0 + decision_age
-        else:
-            # Only cleared listings sold; they watch from the clear hour.
-            sold_rows = decisions.rows[listings.cleared]
-            sold_t0 = decisions.t0[listings.cleared]
-            watch_from = listings.clear_at[listings.cleared]
-        rebuy_costs, instances_rebought, rebuys = _apply_cancellation(
-            cancellation, model, d, r_physical, sold_rows, sold_t0, watch_from
-        )
-
-    billed_hours = (
-        r_physical.sum(axis=1) if model.fee_mode is HourlyFeeMode.ACTIVE else None
-    )
-    on_demand: "np.ndarray | None" = None
+    _check_cancellation(cancellation)
+    keys = [] if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
     if users == 1:
-        # The row's records carry the hourly on-demand array.
-        on_demand = np.maximum(d - r_physical, 0)
-        on_demand_hours = on_demand.sum(axis=1)
-        if billed_hours is None:
-            billed_hours = np.minimum(d, r_physical).sum(axis=1)
-    else:
-        # Σ max(d − r, 0) = Σ d − Σ min(d, r), exact in int64: one
-        # (U × H) temporary instead of three.
-        covered_hours = np.minimum(d, r_physical).sum(axis=1)
-        on_demand_hours = precomputed.demand_totals - covered_hours
-        if billed_hours is None:
-            billed_hours = covered_hours
-    result = PopulationResult(
-        kind=kind,
-        phi=phi,
-        on_demand=on_demand_hours.astype(np.float64) * model.p,
-        upfront=precomputed.reservation_totals.astype(np.float64) * model.big_r,
-        reserved_hourly=billed_hours.astype(np.float64) * model.alpha * model.p,
-        sale_income=sale_income,
-        instances_sold=decisions.total_sold,
-        instances_cleared=tallies[0],
-        listings_expired=tallies[1],
-        listings_open=tallies[2],
-        rebuy=rebuy_costs,
-        instances_rebought=instances_rebought,
+        return _run_row(precomputed, model, kind, phi, rule, clearing, keys, cancellation)
+    key = _run_key(model, rule, clearing, keys)
+    run = None if key is None else precomputed.runs.get(key)
+    if run is not None:
+        return _finish(precomputed, model, kind, phi, run, cancellation), None
+    decisions = (
+        _decide_rounds(precomputed, rule.decision_age, rule.threshold)
+        if rule.evaluate
+        else _no_decisions(users)
     )
-    if on_demand is None:
-        return result, None
-    return result, RowRecords(
-        decision_age=decision_age,
-        sale_t0=decisions.t0,
-        working_hours=decisions.working,
-        listings=listings,
-        rebuys=rebuys.get(0, ()),
-        r_physical=r_physical[0],
-        on_demand=on_demand[0],
+    income, tallies, _listings, lost = _book_sales(
+        model, rule, decisions, clearing, keys, horizon
     )
+    hours, rebought = _settle_rows(precomputed, model, lost, cancellation)
+    run = _Run(decisions.total_sold, lost, income, tallies, hours)
+    if key is not None:
+        precomputed.runs[key] = run
+    return _priced(precomputed, model, kind, phi, run, rebought), None
 
 
 def run_population(
@@ -989,9 +1197,12 @@ def run_population_randomized(
     uniform stream — ``policy.draw_spot(user_keys[u])`` — and the run
     then *is* the deterministic online engine at that φ: the block is
     checked and prepared once, rows are grouped by drawn spot, each
-    group's slice of the prepared block runs through :func:`run_block`
-    at its φ, and the per-user outputs scatter back into the original
-    row order. Per user the result is therefore
+    group takes its rows from the block's recorded run at its φ (an
+    online run with the same clearing keys, see
+    :class:`PopulationPrecompute`) or, when none was made, runs its
+    slice of the block through :func:`run_block`, and the per-user
+    outputs scatter back into the original row order. Per user the
+    result is therefore
     bit-identical to ``run_fast`` at the drawn φ (and to the serving
     fleet, which draws from the same stream keyed the same way); a
     single-spot menu reduces bit-identically to the plain deterministic
@@ -1013,6 +1224,7 @@ def run_population_randomized(
             f"policy must be a RandomizedSellingPolicy, got "
             f"{type(policy).__name__}"
         )
+    _check_cancellation(cancellation)
     if precomputed is None:
         precomputed = prepare_population(demands, reservations, model.period)
     else:
@@ -1020,7 +1232,7 @@ def run_population_randomized(
     users = precomputed.demands.shape[0]
     keys = _user_keys(user_keys, users, "user_keys")
     resolved_clearing_keys = (
-        None if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
+        [] if clearing is None else _user_keys(clearing_keys, users, "clearing_keys")
     )
 
     drawn = policy.draw_spots(keys)
@@ -1044,23 +1256,37 @@ def run_population_randomized(
     }
     for phi in np.unique(drawn).tolist():
         rows = np.flatnonzero(drawn == phi)
-        group, _records = run_block(
-            precomputed.take_rows(rows),
-            model,
-            phi,
-            FastPolicyKind.ONLINE,
-            threshold_scale,
-            clearing=clearing,
-            clearing_keys=(
-                None
-                if resolved_clearing_keys is None
-                else [resolved_clearing_keys[row] for row in rows.tolist()]
-            ),
-            cancellation=cancellation,
+        rule = decision_rule(
+            model, phi, FastPolicyKind.ONLINE, threshold_scale, clearing, SimulationError
         )
+        key = _run_key(model, rule, clearing, resolved_clearing_keys)
+        run = None if key is None else precomputed.runs.get(key)
+        if run is None:
+            group, _records = run_block(
+                precomputed.take_rows(rows),
+                model,
+                phi,
+                FastPolicyKind.ONLINE,
+                threshold_scale,
+                clearing=clearing,
+                clearing_keys=(
+                    None
+                    if clearing is None
+                    else [resolved_clearing_keys[row] for row in rows.tolist()]
+                ),
+                cancellation=cancellation,
+            )
+            taken: "slice | np.ndarray" = slice(None)
+        else:
+            # The whole block already ran at this spot: take the group's
+            # rows from that run.
+            group = _finish(
+                precomputed, model, FastPolicyKind.ONLINE, phi, run, cancellation, rows
+            )
+            taken = rows
         for name, target in out.items():
             if target is not None:
-                target[rows] = getattr(group, name)
+                target[rows] = getattr(group, name)[taken]
     return PopulationResult(
         kind=FastPolicyKind.ONLINE,
         phi=float("nan"),

@@ -101,10 +101,13 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"selling_discount must lie in [0, 1], got {self.selling_discount!r}"
             )
-        if self.policies:
-            object.__setattr__(
-                self, "policies", _canonical_policy_specs(self.policies)
-            )
+        # Always a tuple, empty included, so a config stays hashable and
+        # equal to its canonical form whatever sequence it was given.
+        object.__setattr__(
+            self,
+            "policies",
+            _canonical_policy_specs(self.policies) if self.policies else (),
+        )
 
     # ------------------------------------------------------------------
 

@@ -3,6 +3,9 @@ engine must be *bit-identical* to per-user ``run_fast`` — same costs to
 the last ulp, same sale counts — across seeds, φ values, policy kinds,
 fee modes, and threshold scales."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,21 @@ def assert_bit_identical(population_result, demands, reservations, model, **kwar
         assert int(population_result.instances_sold[user]) == fast.instances_sold, (
             context
         )
+
+
+def assert_same_result(got, want, context=None):
+    """Two population results agree field by field: equal arrays of
+    equal dtype, the same absent fields, equal (or both NaN) φ."""
+    for field in dataclasses.fields(PopulationResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        where = (field.name, context)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), where
+            assert a.dtype == b.dtype and np.array_equal(a, b), where
+        elif isinstance(a, float) and math.isnan(a):
+            assert isinstance(b, float) and math.isnan(b), where
+        else:
+            assert a == b, where
 
 
 class TestDifferentialAgainstRunFast:
@@ -283,6 +301,116 @@ class TestSharedPrecompute:
         for name in held:
             assert np.array_equal(getattr(prepared, name), before[name]), name
 
+    def test_repeated_decisions_are_reused_bit_for_bit(self, toy_model, monkeypatch):
+        """A block records each decision run: the randomized and the
+        cancellation columns, run after the deterministic ones, decide
+        nothing again, and every column equals its run on a fresh block."""
+        decided = []
+        rounds = popsim._decide_rounds
+        monkeypatch.setattr(
+            popsim, "_decide_rounds", lambda *a: decided.append(a) or rounds(*a)
+        )
+        users = 24
+        demands, reservations = random_population(users, start_seed=200)
+        keys = [f"user-{row}" for row in range(users)]
+        policy = RandomizedSellingPolicy(seed=11, spots=PHIS)
+        held = (
+            "demands",
+            "reservations",
+            "active",
+            "reservation_prefix",
+            "event_rows",
+            "event_t0",
+            "demand_totals",
+            "reservation_totals",
+        )
+        for clearing in (None, ClearingModel.for_regime("normal", seed=5)):
+            on_block = dict(clearing=clearing, clearing_keys=keys)
+            prepared = prepare_population(demands, reservations, toy_model.period)
+            before = {name: getattr(prepared, name).copy() for name in held}
+            deterministic = [
+                dict(kind=FastPolicyKind.KEEP_RESERVED),
+                *[dict(phi=phi) for phi in PHIS],
+                *[dict(phi=phi, kind=FastPolicyKind.ALL_SELLING) for phi in PHIS],
+            ]
+            for kwargs in deterministic:
+                shared = run_population(
+                    None, None, toy_model, precomputed=prepared, **on_block, **kwargs
+                )
+                fresh = run_population(
+                    demands, reservations, toy_model, **on_block, **kwargs
+                )
+                assert_same_result(shared, fresh, (clearing, kwargs))
+            for cancellation in (None, CancellationModel(penalty=0.1, trigger_hours=2)):
+                decided.clear()
+                shared = run_population_randomized(
+                    None, None, toy_model, policy, user_keys=keys,
+                    cancellation=cancellation, precomputed=prepared, **on_block,
+                )
+                assert decided == []
+                fresh = run_population_randomized(
+                    demands, reservations, toy_model, policy, user_keys=keys,
+                    cancellation=cancellation, **on_block,
+                )
+                assert_same_result(shared, fresh, (clearing, cancellation))
+            for phi in PHIS:
+                cancellation = CancellationModel(penalty=0.1, trigger_hours=1)
+                decided.clear()
+                shared = run_population(
+                    None, None, toy_model, phi=phi, precomputed=prepared,
+                    cancellation=cancellation, **on_block,
+                )
+                assert decided == []
+                fresh = run_population(
+                    demands, reservations, toy_model, phi=phi,
+                    cancellation=cancellation, **on_block,
+                )
+                assert_same_result(shared, fresh, (clearing, phi))
+                assert shared.instances_rebought.sum() > 0
+            assert len(prepared.runs) == len(deterministic)
+            for name in held:
+                assert np.array_equal(getattr(prepared, name), before[name]), name
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("cost model", dict(model=dict(marketplace_fee=0.12))),
+            ("clearing seed", dict(clearing_seed=6)),
+            ("clearing keys", dict(keys="reversed")),
+            ("threshold scale", dict(threshold_scale=0.6)),
+        ],
+    )
+    def test_a_run_differing_in_one_key_field_is_not_reused(
+        self, toy_model, field, change
+    ):
+        """Each field of the run key matters on its own: a second run
+        that differs in it alone must not take the first run's record."""
+        users = 16
+        demands, reservations = random_population(users, start_seed=230)
+        keys = list(range(users))
+
+        def arguments(change):
+            model = dataclasses.replace(toy_model, **change.get("model", {}))
+            return model, dict(
+                phi=0.5,
+                threshold_scale=change.get("threshold_scale", 1.0),
+                clearing=ClearingModel.for_regime(
+                    "normal", seed=change.get("clearing_seed", 5)
+                ),
+                clearing_keys=keys[::-1] if change.get("keys") else keys,
+            )
+
+        prepared = prepare_population(demands, reservations, toy_model.period)
+        results = []
+        for step in ({}, change):
+            model, kwargs = arguments(step)
+            shared = run_population(None, None, model, precomputed=prepared, **kwargs)
+            fresh = run_population(demands, reservations, model, **kwargs)
+            assert_same_result(shared, fresh, (field, step))
+            results.append(fresh)
+        assert not np.array_equal(results[0].total_costs(), results[1].total_costs())
+        assert len(prepared.runs) == 2
+
     def test_row_slice_equals_a_fresh_block(self, toy_model):
         demands, reservations = random_population(9, start_seed=140)
         prepared = prepare_population(demands, reservations, toy_model.period)
@@ -372,6 +500,85 @@ class TestSharedPrecompute:
             prepare_population(
                 np.full((2, 4), -1), np.zeros((2, 4)), toy_model.period
             )
+
+
+class TestRowwisePricing:
+    """Many-row runs price only the rows that lost units from a rebuilt
+    timeline and every other row from the block's unsold totals; the
+    per-user hours must equal a dense recount of the settled timeline."""
+
+    @staticmethod
+    def dense_timeline(demands, reservations, model, fast_runs):
+        """Every row's physical timeline, settled densely from each
+        user's sales, cleared listings and re-buys."""
+        users, horizon = demands.shape
+        period = model.period
+        delta = np.zeros((users, horizon + 1), dtype=np.int64)
+        for user, fast in enumerate(fast_runs):
+            for t0 in np.flatnonzero(reservations[user]).tolist():
+                count = int(reservations[user, t0])
+                delta[user, t0] += count
+                delta[user, min(t0 + period, horizon)] -= count
+            if fast.listings:
+                left = [
+                    (listing.reserved_at, listing.cleared_at)
+                    for listing in fast.listings
+                    if listing.outcome == "cleared"
+                ]
+            else:
+                left = [(sale.reserved_at, sale.hour) for sale in fast.sales]
+            for reserved_at, hour in left:
+                delta[user, hour] -= 1
+                delta[user, min(reserved_at + period, horizon)] += 1
+            for rebuy in fast.rebuys:
+                delta[user, rebuy.hour] += 1
+                delta[user, min(rebuy.reserved_at + period, horizon)] -= 1
+        return np.cumsum(delta, axis=1)[:, :horizon]
+
+    @pytest.mark.parametrize("regime", [None, "instant", "normal", "thin"])
+    @pytest.mark.parametrize("fee_mode", list(HourlyFeeMode))
+    def test_hours_equal_a_dense_recount(self, toy_plan, regime, fee_mode):
+        # p = 1 and α = 1/4 make both cost components exact hour counts.
+        model = CostModel(plan=toy_plan, selling_discount=0.5, fee_mode=fee_mode)
+        assert model.p == 1.0 and model.alpha == 0.25
+        users = 10
+        demands, reservations = random_population(
+            users, horizon=80, start_seed=300, max_batch=5
+        )
+        clearing = None if regime is None else ClearingModel.for_regime(regime, seed=9)
+        prepared = prepare_population(demands, reservations, model.period)
+        checked = lost_rows = 0
+        for kind in (FastPolicyKind.ONLINE, FastPolicyKind.ALL_SELLING):
+            for phi in PHIS:
+                for cancellation in (None, CancellationModel(penalty=0.1)):
+                    settings = dict(
+                        phi=phi, kind=kind, clearing=clearing, cancellation=cancellation
+                    )
+                    result = run_population(
+                        None, None, model, precomputed=prepared, **settings
+                    )
+                    fast_runs = [
+                        run_fast(
+                            demands[user], reservations[user], model,
+                            clearing_key=user, **settings,
+                        )
+                        for user in range(users)
+                    ]
+                    r = self.dense_timeline(demands, reservations, model, fast_runs)
+                    covered = np.minimum(demands, r).sum(axis=1)
+                    billed = (
+                        r.sum(axis=1) if fee_mode is HourlyFeeMode.ACTIVE else covered
+                    )
+                    context = (regime, fee_mode, kind, phi, cancellation)
+                    assert np.array_equal(
+                        demands.sum(axis=1) - result.on_demand, covered
+                    ), context
+                    assert np.array_equal(result.reserved_hourly / 0.25, billed), context
+                    for user, fast in enumerate(fast_runs):
+                        assert np.array_equal(fast.r_physical, r[user]), context
+                    lost_rows += int(np.count_nonzero(r != prepared.active))
+                    checked += 1
+        assert checked == 12 and lost_rows > 0
 
 
 class TestShortHorizons:

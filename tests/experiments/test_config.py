@@ -1,5 +1,7 @@
 """Unit tests for repro.experiments.config."""
 
+import pickle
+
 import pytest
 
 from repro.core.account import HourlyFeeMode
@@ -105,3 +107,20 @@ class TestPolicySpecs:
             with_policies.content_hash()
             != ExperimentConfig(policies=("randomized:seed=8",)).content_hash()
         )
+
+    @pytest.mark.parametrize("empty", [[], (), None])
+    def test_an_empty_policy_list_becomes_the_empty_tuple(self, empty):
+        config = ExperimentConfig.quick().scaled(policies=empty)
+        plain = ExperimentConfig.quick()
+        assert config.policies == ()
+        assert config == plain
+        assert hash(config) == hash(plain)
+        assert config.content_hash() == plain.content_hash()
+        assert pickle.loads(pickle.dumps(config)) == plain
+
+    def test_a_spec_list_hashes_like_its_tuple(self):
+        listed = ExperimentConfig(policies=["randomized:seed=7"])
+        tupled = ExperimentConfig(policies=("randomized:seed=7",))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert pickle.loads(pickle.dumps(listed)) == tupled
