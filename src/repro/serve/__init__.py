@@ -29,13 +29,17 @@ pose — from a live feed of usage events:
   WAL + snapshot-backed restart, and merged reads that are
   bit-identical to a single process (``python -m repro.serve
   --shards N``).
-* :mod:`repro.serve.transport` — the cluster's binary hop: a compact
-  stdlib codec, length-prefixed CRC-checked frames, one selector-loop
-  hub multiplexing persistent pipelined worker connections, and the
-  worker-side frame server.
+* :mod:`repro.serve.transport` — the cluster's router→worker hop:
+  JSON payloads in length-prefixed CRC-checked frames, one
+  selector-loop hub multiplexing persistent pipelined worker
+  connections, and the worker-side frame server.
 * :mod:`repro.serve.wal` — the per-worker write-ahead log: fsync'd
-  append per applied batch, snapshot compaction, torn-tail healing,
-  and version-gated replay.
+  JSON record per applied batch, snapshot compaction, torn-tail
+  healing, and version-gated replay.
+
+HTTP bodies, shard frames, WAL records and checkpoints all use one
+encoding, stdlib JSON (:func:`~repro.serve.envelope.decode_json` is the
+one decode, mapping any failure to the caller's typed error).
 
 See ``docs/serving.md`` for the API schema and the state model.
 """
@@ -77,9 +81,7 @@ from repro.serve.transport import (
     FrameDecoder,
     TransportHub,
     WorkerChannel,
-    dumpb,
     encode_frame,
-    loadb,
 )
 from repro.serve.wal import (
     WAL_FORMAT,
@@ -144,11 +146,9 @@ __all__ = [
     "WalVersionError",
     "WorkerChannel",
     "breakdown_from_counts",
-    "dumpb",
     "encode_frame",
     "envelope",
     "error_envelope",
-    "loadb",
     "read_wal",
     "restore_checkpoint",
     "run_stream",

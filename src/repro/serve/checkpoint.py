@@ -34,6 +34,7 @@ from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.clearing import ClearingModel
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
+from repro.serve.envelope import decode_json
 from repro.serve.errors import CheckpointError, ServeStateError
 from repro.serve.state import STATE_VERSION, FleetState
 
@@ -98,7 +99,7 @@ def fleet_to_payload(
     }
 
 
-def checkpoint_from_payload(payload: dict) -> Checkpoint:
+def checkpoint_from_payload(payload: object) -> Checkpoint:
     """Rebuild a :class:`Checkpoint` from a checkpoint payload."""
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint payload is not a JSON object")
@@ -221,13 +222,11 @@ def restore_checkpoint(path: "str | Path") -> Checkpoint:
     """
     target = Path(path)
     try:
-        with target.open(encoding="utf-8") as handle:
-            payload = json.load(handle)
+        data = target.read_bytes()
     except FileNotFoundError as error:
         raise CheckpointError(f"no checkpoint at {target}") from error
-    except (OSError, json.JSONDecodeError) as error:
-        raise CheckpointError(
-            f"checkpoint {target} is unreadable or corrupt: {error}"
-        ) from error
+    except OSError as error:
+        raise CheckpointError(f"checkpoint {target} is unreadable: {error}") from error
+    payload = decode_json(data, CheckpointError, f"corrupt checkpoint {target}")
     return checkpoint_from_payload(payload)
 

@@ -2,7 +2,9 @@
 
 One wire contract for the whole serving layer — the single-process
 server, the shard workers, and the shard router all exchange exactly
-these shapes:
+these shapes, in one encoding: stdlib JSON as UTF-8
+(:func:`encode_json`/:func:`decode_json`) for HTTP bodies, shard
+frames and WAL records alike:
 
 * success: ``{"schema": 2, ...payload...}``
 * error:   ``{"schema": 2, "error": {"kind": "<TypeName>", "message": "..."}}``
@@ -29,9 +31,10 @@ must speak :data:`SCHEMA_VERSION` exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import json
+from typing import Dict, List, Optional, Type
 
-from repro.serve.errors import SchemaSkewError
+from repro.serve.errors import CodecError, SchemaSkewError, ServeError
 
 #: Version of the serve wire format. Bump on any change to response or
 #: request shapes; router and shards refuse to interoperate across
@@ -45,6 +48,35 @@ SUPPORTED_SCHEMAS = (1, SCHEMA_VERSION)
 #: Response keys that exist only in schema 2; stripped (recursively)
 #: when answering a schema-1 client.
 _SCHEMA2_KEYS = frozenset({"policy_spec", "drawn_phi", "rebuys", "policies"})
+
+
+def encode_json(value: object) -> bytes:
+    """Compact JSON bytes for a shard frame or WAL record.
+
+    ``ensure_ascii`` stays on, so text holding lone surrogates encodes
+    as ``\\u`` escapes; floats travel as their ``repr``, which reads
+    back to the same double. An unencodable value (an unsupported type,
+    an integer past the digit limit, nesting past the recursion limit)
+    raises :class:`~repro.serve.errors.CodecError`.
+    """
+    try:
+        return json.dumps(value, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as error:
+        raise CodecError(f"cannot encode the payload as JSON: {error}") from error
+
+
+def decode_json(data: bytes, error: "Type[ServeError]", what: str) -> object:
+    """Decode one JSON document from UTF-8 ``data``.
+
+    The bytes are decoded as UTF-8 first: ``json.loads`` on bytes would
+    also guess UTF-16/32. Any failure (invalid UTF-8, bad JSON, an
+    integer past the digit limit, nesting past the recursion limit)
+    raises the caller's typed ``error``, its message naming ``what``.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as cause:
+        raise error(f"{what} is not valid JSON: {cause}") from cause
 
 
 def envelope(

@@ -87,7 +87,7 @@ class ShardProtocolError(ShardError):
 
 
 class TransportError(ShardError):
-    """Base class for binary-transport failures (framing, codec, link)."""
+    """Base class for shard-transport failures (framing, codec, link)."""
 
     status = 502
 
@@ -107,8 +107,9 @@ class FrameTooLargeError(FrameError):
 
 
 class CodecError(TransportError):
-    """A binary payload could not be encoded or decoded (unsupported
-    type, truncated value, trailing bytes, depth bomb)."""
+    """A frame or WAL payload could not be encoded as JSON, or a frame
+    payload could not be decoded (unsupported type, invalid UTF-8 or
+    JSON, nesting past the recursion limit)."""
 
     status = 502
 

@@ -57,6 +57,7 @@ from repro.serve.checkpoint import restore_checkpoint, save_checkpoint
 from repro.serve.envelope import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMAS,
+    decode_json,
     downgrade_payload,
     envelope,
     error_envelope,
@@ -77,8 +78,7 @@ from repro.serve.state import (
     FleetDecision,
     FleetState,
     ServeStateError,
-    breakdown_from_counts,
-    rebuy_outlay_from_counts,
+    costs_body,
 )
 
 #: Default cap on events per ingest request (oversize batches get 413).
@@ -259,6 +259,15 @@ class AdvisoryApp:
                 raise RequestValidationError(
                     f'events[{position}].instance must be a non-empty string'
                 )
+            try:
+                instance.encode("utf-8")
+            except UnicodeEncodeError as error:
+                # A lone surrogate: no shard ring can hash it, and no
+                # UTF-8 body could have carried it unescaped.
+                raise RequestValidationError(
+                    f"events[{position}].instance is not valid Unicode "
+                    f"text: {error}"
+                ) from error
             if "busy" in event:
                 flag = event["busy"]
                 if not isinstance(flag, bool):
@@ -383,39 +392,8 @@ class AdvisoryApp:
             counts = self.fleet.cost_counts()
             rebuys = self.fleet.rebuy_counts()
             penalties = self.fleet.cancellation_penalties()
-        phis: "Dict[str, object]" = {}
-        for threshold in self.fleet.thresholds:
-            key = repr(threshold.phi)
-            breakdown = breakdown_from_counts(
-                self.fleet.model, threshold.phi, counts[key]
-            )
-            phis[key] = {
-                "counts": counts[key],
-                "breakdown": {
-                    "on_demand": breakdown.on_demand,
-                    "upfront": breakdown.upfront,
-                    "reserved_hourly": breakdown.reserved_hourly,
-                    "sale_income": breakdown.sale_income,
-                    "total": breakdown.total,
-                },
-            }
-        body: "Dict[str, object]" = {"phis": phis}
-        if rebuys:
-            # Schema-2 section: cancellation re-buy surcharges on top of
-            # the per-φ menu above. Counts stay integers so a sharded
-            # deployment can sum them exactly and price once; `penalty`
-            # rides along so the router needn't parse the spec string.
-            body["policies"] = {
-                spec: {
-                    "counts": entry,
-                    "penalty": penalties[spec],
-                    "rebuy_outlay": rebuy_outlay_from_counts(
-                        self.fleet.model, penalties[spec], entry
-                    ),
-                }
-                for spec, entry in rebuys.items()
-            }
-        return body
+        # Both come in the fleet's menu order, which the body keeps.
+        return costs_body(self.fleet.model, counts, rebuys, penalties)
 
     def health(self) -> "Dict[str, object]":
         with self._fleet_lock:
@@ -538,13 +516,9 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
             ) from error
         if length <= 0:
             raise RequestValidationError("a JSON request body is required")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise RequestValidationError(
-                f"request body is not valid JSON: {error}"
-            ) from error
+        return decode_json(
+            self.rfile.read(length), RequestValidationError, "request body"
+        )
 
     def _handle_ingest(self) -> None:
         """The ``POST /v1/events`` route (the router handler overrides

@@ -48,8 +48,8 @@ The router:
 * reports ``"degraded"`` health while any shard is down and merges
   ``/metrics`` expositions under a ``shard="N"`` label;
 * sums the shards' integer cost counts and prices them once
-  (:func:`~repro.serve.state.breakdown_from_counts`), so ``/v1/costs``
-  is bit-identical to a single-process server over the same events.
+  (:func:`~repro.serve.state.costs_body`), so ``/v1/costs`` is
+  bit-identical to a single-process server over the same events.
 
 Everything on the wire is the versioned envelope of
 :mod:`repro.serve.envelope`; a version-skewed reply aborts the call
@@ -114,12 +114,7 @@ from repro.serve.server import (
     AdvisoryServer,
     build_app,
 )
-from repro.serve.state import (
-    FleetState,
-    ServeStateError,
-    breakdown_from_counts,
-    rebuy_outlay_from_counts,
-)
+from repro.serve.state import FleetState, ServeStateError, costs_body
 from repro.serve.transport import BinaryServer, TransportHub, WorkerChannel
 from repro.serve.wal import Wal, WalRecovery
 
@@ -790,34 +785,12 @@ class ShardRouter:
                     rebuy_penalties.setdefault(
                         str(spec_key), float(entry["penalty"])  # type: ignore[index, arg-type]
                     )
-        response: "Dict[str, object]" = {}
-        for phi_key, counts in sorted(
-            totals.items(), key=lambda item: -float(item[0])
-        ):
-            breakdown = breakdown_from_counts(self.model, float(phi_key), counts)
-            response[phi_key] = {
-                "counts": counts,
-                "breakdown": {
-                    "on_demand": breakdown.on_demand,
-                    "upfront": breakdown.upfront,
-                    "reserved_hourly": breakdown.reserved_hourly,
-                    "sale_income": breakdown.sale_income,
-                    "total": breakdown.total,
-                },
-            }
-        body: "Dict[str, object]" = {"phis": response}
-        if rebuy_totals:
-            body["policies"] = {
-                spec_key: {
-                    "counts": counts,
-                    "penalty": rebuy_penalties[spec_key],
-                    "rebuy_outlay": rebuy_outlay_from_counts(
-                        self.model, rebuy_penalties[spec_key], counts
-                    ),
-                }
-                for spec_key, counts in sorted(rebuy_totals.items())
-            }
-        return body
+        return costs_body(
+            self.model,
+            dict(sorted(totals.items(), key=lambda item: -float(item[0]))),
+            dict(sorted(rebuy_totals.items())),
+            rebuy_penalties,
+        )
 
     def _fan_out_get(self, op: str) -> "List[Tuple[int, Dict[str, object]]]":
         """Run a read ``op`` on every shard concurrently; raises on any

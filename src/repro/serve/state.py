@@ -1264,6 +1264,51 @@ def breakdown_from_counts(
     )
 
 
+def costs_body(
+    model: CostModel,
+    phi_counts: "Dict[str, Dict[str, int]]",
+    rebuy_counts: "Dict[str, Dict[str, int]]",
+    penalties: "Dict[str, float]",
+) -> "Dict[str, object]":
+    """The priced ``/v1/costs`` body from integer counts.
+
+    ``phi_counts`` is keyed by ``repr(phi)`` (:meth:`FleetState.cost_counts`)
+    and ``rebuy_counts``/``penalties`` by canonical cancellation spec
+    (:meth:`FleetState.rebuy_counts`/:meth:`FleetState.cancellation_penalties`).
+    Both count maps arrive in the caller's key order and keep it. The
+    ``policies`` section (schema 2) appears only when a cancellation
+    policy is configured; its counts stay integers so a sharded
+    deployment sums them exactly and prices once, and ``penalty`` rides
+    along so the router needn't parse the spec string.
+    """
+    phis: "Dict[str, object]" = {}
+    for key, counts in phi_counts.items():
+        breakdown = breakdown_from_counts(model, float(key), counts)
+        phis[key] = {
+            "counts": counts,
+            "breakdown": {
+                "on_demand": breakdown.on_demand,
+                "upfront": breakdown.upfront,
+                "reserved_hourly": breakdown.reserved_hourly,
+                "sale_income": breakdown.sale_income,
+                "total": breakdown.total,
+            },
+        }
+    body: "Dict[str, object]" = {"phis": phis}
+    if rebuy_counts:
+        body["policies"] = {
+            spec: {
+                "counts": counts,
+                "penalty": penalties[spec],
+                "rebuy_outlay": rebuy_outlay_from_counts(
+                    model, penalties[spec], counts
+                ),
+            }
+            for spec, counts in rebuy_counts.items()
+        }
+    return body
+
+
 def rebuy_outlay_from_counts(
     model: CostModel, penalty: float, counts: "Dict[str, int]"
 ) -> float:

@@ -1,17 +1,13 @@
-"""Length-prefixed binary frame transport between router and shards.
+"""Length-prefixed frame transport between router and shards.
 
-The shard cluster's original hop was one JSON-over-HTTP request per
-sub-batch: a fresh TCP connection, an HTTP parse, and a JSON encode per
-router→worker call. ``BENCH_shard.json`` showed that hop *inverting*
-the scaling curve (2 shards slower than 1). This module replaces it
-with persistent connections speaking a compact binary protocol:
+The router→worker hop is one persistent connection per worker:
 
-* **Codec** — :func:`dumpb`/:func:`loadb`, a minimal msgpack-style
-  binary encoding of the JSON data model (``None``/bool/int64/float64/
-  str/bytes/list/str-keyed dict). Stdlib-only (the serving layer must
-  not grow dependencies), exact: floats travel as IEEE-754 doubles and
-  integers as signed 64-bit values, so the bit-identical differential
-  guarantee survives the wire.
+* **Payloads** — stdlib JSON, UTF-8, compact separators
+  (:func:`~repro.serve.envelope.encode_json`/
+  :func:`~repro.serve.envelope.decode_json`): the same encoding as the
+  HTTP bodies and the WAL records. Floats travel as their ``repr``,
+  which reads back to the same double, so the bit-identical
+  differential guarantee survives the wire.
 * **Framing** — :func:`encode_frame` / :class:`FrameDecoder`. Every
   frame is ``magic "RB" | wire version | frame type | payload length |
   CRC-32(payload)`` (12 bytes, network order) followed by the payload.
@@ -38,10 +34,10 @@ with persistent connections speaking a compact binary protocol:
   response is replayed) or stale (rejected with 400) — never a second
   apply.
 
-Wire messages (payloads of REQUEST/RESPONSE frames, codec-encoded):
+Wire messages (JSON payloads of REQUEST/RESPONSE frames):
 
-* request:  ``{"schema": 1, "id": N, "op": "ingest"|..., "body": {...}}``
-* response: ``{"schema": 1, "id": N, "status": 200, "body": {...}}``
+* request:  ``{"schema": 2, "id": N, "op": "ingest"|..., "body": {...}}``
+* response: ``{"schema": 2, "id": N, "status": 200, "body": {...}}``
 
 where ``body`` is exactly the versioned envelope of
 :mod:`repro.serve.envelope` — the same shapes the HTTP path speaks, so
@@ -57,7 +53,7 @@ import threading
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.serve.envelope import SCHEMA_VERSION
+from repro.serve.envelope import SCHEMA_VERSION, decode_json, encode_json
 from repro.serve.errors import (
     CodecError,
     FrameError,
@@ -67,180 +63,15 @@ from repro.serve.errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Codec: a minimal binary encoding of the JSON data model
-# ---------------------------------------------------------------------------
-
-_TAG_NONE = 0x00
-_TAG_FALSE = 0x01
-_TAG_TRUE = 0x02
-_TAG_INT = 0x03
-_TAG_FLOAT = 0x04
-_TAG_STR = 0x05
-_TAG_BYTES = 0x06
-_TAG_LIST = 0x07
-_TAG_DICT = 0x08
-
-_I64 = struct.Struct("!q")
-_F64 = struct.Struct("!d")
-_U32 = struct.Struct("!I")
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-#: Maximum container/recursion depth the codec will walk; beyond it the
-#: value is treated as a depth bomb rather than legitimate data.
-MAX_CODEC_DEPTH = 64
-
-
-def dumpb(value: object) -> bytes:
-    """Encode ``value`` (JSON data model) to bytes.
-
-    Raises :class:`~repro.serve.errors.CodecError` on unsupported types,
-    integers outside signed 64-bit range, non-string dict keys, or
-    nesting deeper than :data:`MAX_CODEC_DEPTH`.
-    """
-    out = bytearray()
-    _encode(value, out, 0)
-    return bytes(out)
-
-
-def _encode(value: object, out: bytearray, depth: int) -> None:
-    if depth > MAX_CODEC_DEPTH:
-        raise CodecError(
-            f"value nests deeper than {MAX_CODEC_DEPTH} levels; refusing to encode"
-        )
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif isinstance(value, int):  # bool handled above
-        if not _I64_MIN <= value <= _I64_MAX:
-            raise CodecError(f"integer {value!r} exceeds signed 64-bit range")
-        out.append(_TAG_INT)
-        out += _I64.pack(value)
-    elif isinstance(value, float):
-        out.append(_TAG_FLOAT)
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out += _U32.pack(len(encoded))
-        out += encoded
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_TAG_BYTES)
-        out += _U32.pack(len(value))
-        out += bytes(value)
-    elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode(item, out, depth + 1)
-    elif isinstance(value, dict):
-        out.append(_TAG_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(
-                    f"dict keys must be strings, got {type(key).__name__}"
-                )
-            _encode(key, out, depth + 1)
-            _encode(item, out, depth + 1)
-    else:
-        raise CodecError(f"cannot encode {type(value).__name__} values")
-
-
-def loadb(data: bytes) -> object:
-    """Decode one value from ``data``; the buffer must hold exactly one.
-
-    Raises :class:`~repro.serve.errors.CodecError` on unknown tags,
-    truncated values, trailing bytes, or excessive nesting.
-    """
-    value, offset = _decode(data, 0, 0)
-    if offset != len(data):
-        raise CodecError(
-            f"{len(data) - offset} trailing byte(s) after the encoded value"
-        )
-    return value
-
-
-def _need(data: bytes, offset: int, count: int) -> None:
-    if offset + count > len(data):
-        raise CodecError(
-            f"truncated value: need {count} byte(s) at offset {offset}, "
-            f"have {len(data) - offset}"
-        )
-
-
-def _decode(data: bytes, offset: int, depth: int) -> "Tuple[object, int]":
-    if depth > MAX_CODEC_DEPTH:
-        raise CodecError(
-            f"payload nests deeper than {MAX_CODEC_DEPTH} levels; refusing to decode"
-        )
-    _need(data, offset, 1)
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_INT:
-        _need(data, offset, 8)
-        return _I64.unpack_from(data, offset)[0], offset + 8
-    if tag == _TAG_FLOAT:
-        _need(data, offset, 8)
-        return _F64.unpack_from(data, offset)[0], offset + 8
-    if tag in (_TAG_STR, _TAG_BYTES):
-        _need(data, offset, 4)
-        length = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        _need(data, offset, length)
-        raw = data[offset : offset + length]
-        offset += length
-        if tag == _TAG_BYTES:
-            return bytes(raw), offset
-        try:
-            return bytes(raw).decode("utf-8"), offset
-        except UnicodeDecodeError as error:
-            raise CodecError(f"invalid UTF-8 in string value: {error}") from error
-    if tag == _TAG_LIST:
-        _need(data, offset, 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        items: "List[object]" = []
-        for _ in range(count):
-            item, offset = _decode(data, offset, depth + 1)
-            items.append(item)
-        return items, offset
-    if tag == _TAG_DICT:
-        _need(data, offset, 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        mapping: "Dict[str, object]" = {}
-        for _ in range(count):
-            key, offset = _decode(data, offset, depth + 1)
-            if not isinstance(key, str):
-                raise CodecError(
-                    f"dict keys must be strings, got {type(key).__name__}"
-                )
-            value, offset = _decode(data, offset, depth + 1)
-            mapping[key] = value
-        return mapping, offset
-    raise CodecError(f"unknown codec tag 0x{tag:02x} at offset {offset - 1}")
-
-
-# ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
 
 #: Two magic bytes opening every frame ("Reserved-instance Binary").
 FRAME_MAGIC = b"RB"
 
-#: Version of the frame layout + message shapes; peers refuse to mix.
-WIRE_VERSION = 1
+#: Version of the frame layout + payload encoding; peers refuse to mix.
+#: Version 2 carries JSON payloads (version 1 carried a binary codec).
+WIRE_VERSION = 2
 
 FRAME_REQUEST = 1
 FRAME_RESPONSE = 2
@@ -348,7 +179,9 @@ def encode_request(request_id: int, op: str, body: "Dict[str, object]") -> bytes
     """A complete REQUEST frame for one pipelined call."""
     return encode_frame(
         FRAME_REQUEST,
-        dumpb({"schema": SCHEMA_VERSION, "id": request_id, "op": op, "body": body}),
+        encode_json(
+            {"schema": SCHEMA_VERSION, "id": request_id, "op": op, "body": body}
+        ),
     )
 
 
@@ -358,7 +191,7 @@ def encode_response(
     """A complete RESPONSE frame answering ``request_id``."""
     return encode_frame(
         FRAME_RESPONSE,
-        dumpb(
+        encode_json(
             {"schema": SCHEMA_VERSION, "id": request_id, "status": status, "body": body}
         ),
     )
@@ -366,7 +199,7 @@ def encode_response(
 
 def decode_payload(payload: bytes) -> "Dict[str, object]":
     """Decode a frame payload that must be a message object."""
-    message = loadb(payload)
+    message = decode_json(payload, CodecError, "frame payload")
     if not isinstance(message, dict):
         raise CodecError(
             f"frame payload decodes to {type(message).__name__}, expected an object"

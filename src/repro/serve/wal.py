@@ -1,24 +1,20 @@
 """Per-worker write-ahead log with snapshot compaction.
 
-Checkpoints alone forced a painful trade-off on the shard worker: either
-rewrite the full JSON snapshot after every batch (PR 5's
-``--checkpoint-interval 1``, which BENCH_shard.json showed dominating
-ingest latency) or accept losing every batch since the last snapshot on
-a crash. The WAL dissolves the trade-off — each *applied* ingest batch
-appends one small binary record here first, the snapshot is rewritten
-only every N batches, and recovery is ``restore snapshot, replay the
-WAL tail``. A restarted worker therefore replays at most
-``snapshot_interval`` batches, never full history.
+Each *applied* ingest batch appends one small record here, the JSON
+snapshot is rewritten only every N batches, and recovery is ``restore
+snapshot, replay the WAL tail``. A restarted worker therefore replays
+at most ``snapshot_interval`` batches, never full history, and loses
+no applied batch on a crash.
 
 File layout (all integers network byte order)::
 
     header:  magic "RWAL" | WAL format u32 | state version u32
     entry:   payload length u32 | CRC-32(payload) u32 | payload
-    payload: codec({"seq": int, "events": [...], "response": {...}})
+    payload: JSON {"seq": int, "events": [...], "response": {...}}
 
-using the binary codec of :mod:`repro.serve.transport` — the same exact
-encoding that carries the batch over the wire carries it to disk, so a
-replayed batch is byte-identical input to the decision engine.
+The payload is UTF-8 JSON (:func:`~repro.serve.envelope.encode_json`),
+the encoding that carried the batch over the wire, so a replayed batch
+is the same input to the decision engine.
 
 Crash-safety contract:
 
@@ -38,6 +34,10 @@ Crash-safety contract:
   (:data:`repro.serve.state.STATE_VERSION`); replaying records written
   by a different state machine could produce different decisions, so
   recovery refuses with :class:`~repro.serve.errors.WalVersionError`.
+  Format 2 holds JSON records; a format-1 log (binary records) is
+  refused the same way, and no reader for it is kept. A cleanly
+  stopped worker compacts its WAL down to the header, so such a file
+  holds no batch and can be removed before the upgrade.
 
 Interior (non-tail) corruption always raises
 :class:`~repro.serve.errors.WalCorruptionError` — records after an
@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
+from repro.serve.envelope import decode_json, encode_json
 from repro.serve.errors import (
-    CodecError,
     ServeStateError,
     WalCorruptionError,
     WalError,
@@ -66,13 +66,13 @@ from repro.serve.errors import (
     WalVersionError,
 )
 from repro.serve.state import STATE_VERSION
-from repro.serve.transport import dumpb, loadb
 
 #: Four magic bytes opening every WAL file.
 WAL_MAGIC = b"RWAL"
 
-#: Version of the record layout; bump on structural changes.
-WAL_FORMAT = 1
+#: Version of the record layout; bump on structural changes. Format 2
+#: records hold JSON payloads (format 1 held a binary codec).
+WAL_FORMAT = 2
 
 #: magic | WAL format | state version
 _WAL_HEADER = struct.Struct("!4sII")
@@ -118,13 +118,21 @@ class WalRecovery:
         return self.entries[-1].seq if self.entries else None
 
 
+def _encode_entry(
+    seq: int, events: "List[object]", response: "Dict[str, object]"
+) -> bytes:
+    """One framed record: length | CRC-32 | JSON payload."""
+    payload = encode_json({"seq": seq, "events": events, "response": response})
+    return (
+        _ENTRY_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+        + payload
+    )
+
+
 def _decode_entry_payload(payload: bytes, offset: int) -> WalEntry:
-    try:
-        record = loadb(payload)
-    except CodecError as error:
-        raise WalCorruptionError(
-            f"WAL record at offset {offset} holds an undecodable payload: {error}"
-        ) from error
+    record = decode_json(
+        payload, WalCorruptionError, f"WAL record at offset {offset}"
+    )
     if not isinstance(record, dict):
         raise WalCorruptionError(
             f"WAL record at offset {offset} decodes to "
@@ -186,7 +194,7 @@ def read_wal(path: "str | Path", strict: bool = True) -> WalRecovery:
             f"v{state_version}; this build is v{STATE_VERSION} — replaying "
             "could produce different decisions, refusing to load"
         )
-    offset = _WAL_HEADER.size
+    offset = recovery.valid_bytes = _WAL_HEADER.size
     while offset < len(data):
         torn: "Optional[str]" = None
         end = offset
@@ -196,7 +204,7 @@ def read_wal(path: "str | Path", strict: bool = True) -> WalRecovery:
             length, crc = _ENTRY_HEADER.unpack_from(data, offset)
             if length == 0 and crc == 0:
                 # A legitimate record payload is never empty (it is a
-                # codec-encoded object, >= 5 bytes), yet an all-zeros
+                # JSON object, >= 2 bytes), yet an all-zeros
                 # header self-validates (CRC-32 of b"" is 0). Zeroed
                 # bytes at the tail are the filesystem's torn-write
                 # signature (block allocated, data never flushed), so
@@ -301,11 +309,7 @@ class Wal:
         response: "Dict[str, object]",
     ) -> int:
         """Durably log one applied batch; returns the record's size."""
-        payload = dumpb({"seq": int(seq), "events": events, "response": response})
-        record = (
-            _ENTRY_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-            + payload
-        )
+        record = _encode_entry(int(seq), events, response)
         with self._lock:
             handle = self._require_handle_locked()
             handle.write(record)
@@ -342,18 +346,8 @@ class Wal:
                         _WAL_HEADER.pack(WAL_MAGIC, WAL_FORMAT, STATE_VERSION)
                     )
                     for entry in kept:
-                        payload = dumpb(
-                            {
-                                "seq": entry.seq,
-                                "events": entry.events,
-                                "response": entry.response,
-                            }
-                        )
                         rewrite.write(
-                            _ENTRY_HEADER.pack(
-                                len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-                            )
-                            + payload
+                            _encode_entry(entry.seq, entry.events, entry.response)
                         )
                     rewrite.flush()
                     if self.fsync == "always":

@@ -62,9 +62,14 @@ def test_missing_file_is_a_checkpoint_error(tmp_path):
 
 def test_corrupt_json_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "fleet.ckpt"
-    path.write_text('{"format": 1, "state_ver', encoding="utf-8")
-    with pytest.raises(CheckpointError, match="corrupt"):
-        restore_checkpoint(path)
+    for content in (
+        b'{"format": 1, "state_ver',
+        b"\xff\xfe{",  # not UTF-8
+        b"[" * 50_000,  # nested past the recursion limit
+    ):
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="corrupt"):
+            restore_checkpoint(path)
 
 
 @pytest.mark.parametrize("fmt", [2, 3, CHECKPOINT_FORMAT + 1])

@@ -9,10 +9,14 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
-from repro.serve.server import AdvisoryServer, build_app
+from repro.serve.errors import ApiError
+from repro.serve.server import AdvisoryApp, AdvisoryServer, build_app
+from repro.serve.shard import HashRing
 
 
 def small_model(period: int = 8) -> CostModel:
@@ -43,8 +47,12 @@ def served(tmp_path):
 
 
 def request(method, url, payload=None):
-    """(status, parsed-or-raw body) via urllib; HTTP errors returned."""
-    data = json.dumps(payload).encode("utf-8") if payload is not None else None
+    """(status, parsed-or-raw body) via urllib; HTTP errors returned.
+
+    A ``bytes`` payload is sent as the raw body."""
+    data = payload
+    if payload is not None and not isinstance(payload, bytes):
+        data = json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(url, data=data, method=method)
     if data is not None:
         req.add_header("Content-Type", "application/json")
@@ -109,11 +117,54 @@ def test_validation_errors_are_400(served):
         {"events": [{"busy": True}]},
         {"events": [{"instance": "i-1"}]},
         {"events": [{"instance": "i-1", "demand": -1}]},
+        {"events": [{"instance": "\ud800", "busy": True}]},  # lone surrogate
+        b"[" * 50_000 + b"]" * 50_000,  # nested past the recursion limit
+        b'{"events": [{"instance": "i-1", "demand": ' + b"9" * 5000 + b"}]}",
     ):
         status, body = request("POST", f"{base}/v1/events", payload)
         assert status == 400, payload
         assert body["schema"] == 2, payload
         assert body["error"]["kind"] == "RequestValidationError", payload
+
+
+_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_TEXT, children, max_size=3),
+    max_leaves=12,
+)
+_ID = st.text(min_size=1, max_size=8) | _TEXT.filter(bool)
+_EVENT = st.one_of(
+    st.fixed_dictionaries({"instance": _ID, "busy": st.booleans()}),
+    st.fixed_dictionaries({"instance": _ID, "demand": st.integers(min_value=-1)}),
+    st.dictionaries(st.sampled_from(["instance", "busy", "demand"]) | _TEXT, _JSON),
+    _JSON,
+)
+_BODY = st.one_of(
+    st.fixed_dictionaries(
+        {"events": st.lists(_EVENT, min_size=1, max_size=4)},
+        optional={"seq": st.integers(min_value=-1) | _JSON, "schema": st.integers(0, 3)},
+    ),
+    st.dictionaries(st.sampled_from(["events", "seq", "schema"]) | _TEXT, _JSON),
+    _JSON,
+)
+_RING = HashRing(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BODY)
+def test_any_json_ingest_body_is_accepted_or_refused_typed(payload):
+    """Every JSON value, lone surrogates included, is refused with an
+    ApiError or accepted with ids the shard ring can route."""
+    try:
+        AdvisoryApp._validate_seq(payload)
+        instances, busy = AdvisoryApp._validate_events(payload)
+    except ApiError:
+        return
+    assert len(instances) == len(busy) > 0
+    for instance in instances:
+        assert 0 <= _RING.shard_for(instance) < _RING.n_shards
 
 
 def test_unknown_routes_and_instances_are_404(served):

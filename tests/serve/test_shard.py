@@ -180,9 +180,19 @@ def test_cluster_lifecycle(cluster):
     status, body = request("POST", f"{base}/v1/events", {"events": []})
     assert status == 400 and body["error"]["kind"] == "RequestValidationError"
     status, body = request(
+        "POST", f"{base}/v1/events", {"events": [{"instance": "\ud800", "busy": True}]}
+    )
+    assert status == 400 and body["error"]["kind"] == "RequestValidationError"
+    status, body = request(
         "POST", f"{base}/v1/events", {"schema": 99, "events": events}
     )
     assert status == 400 and body["error"]["kind"] == "SchemaSkewError"
+
+    # --- any JSON integer crosses the hop, as a single process takes it ---
+    status, body = request(
+        "POST", f"{base}/v1/events", {"events": [{"instance": ids[0], "demand": 2**63}]}
+    )
+    assert status == 200 and body["accepted"] == 1
 
 
 def test_router_requires_matching_ring():

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
@@ -226,6 +230,20 @@ def test_torn_final_payload_truncated_to_last_good_record(tmp_path):
     assert recovery.truncated_entries == 1
 
 
+def test_torn_first_record_heals_to_the_header(tmp_path):
+    """A torn append into a header-only log (the state every compaction
+    leaves) heals back to the header, and the log stays readable."""
+    path = seed_wal(tmp_path, entries=0)
+    with path.open("ab") as handle:
+        handle.write(b"\x00\x00\x00\x30\x12")
+    wal, recovery = Wal.open(path, strict=False)
+    assert recovery.truncated_entries == 1
+    assert path.stat().st_size == recovery.valid_bytes == _WAL_HEADER.size
+    wal.append(1, [], {"seq": 1})
+    wal.close()
+    assert [entry.seq for entry in read_wal(path).entries] == [1]
+
+
 def test_worker_counts_torn_tail_in_metrics(tmp_path):
     """The loud part: a healed tail shows up in the exposition."""
     path = tmp_path / "w.wal"
@@ -261,10 +279,60 @@ def test_interior_corruption_always_raises(tmp_path):
 
 
 def test_wal_format_skew_refused(tmp_path):
+    """Format 1 (binary records) and any newer format are refused."""
     path = tmp_path / "skew.wal"
-    path.write_bytes(_WAL_HEADER.pack(WAL_MAGIC, WAL_FORMAT + 1, STATE_VERSION))
-    with pytest.raises(WalVersionError, match="format"):
-        read_wal(path, strict=False)
+    for wal_format in (1, WAL_FORMAT + 1):
+        path.write_bytes(_WAL_HEADER.pack(WAL_MAGIC, wal_format, STATE_VERSION))
+        with pytest.raises(WalVersionError, match="format"):
+            read_wal(path, strict=False)
+
+
+def _framed(payload: bytes) -> bytes:
+    """One CRC-valid record around ``payload``."""
+    return struct.pack("!II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+_HEADER = _WAL_HEADER.pack(WAL_MAGIC, WAL_FORMAT, STATE_VERSION)
+_FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(
+    st.binary(max_size=96)
+    | st.builds(
+        lambda payloads, garbage: b"".join(map(_framed, payloads)) + garbage,
+        st.lists(st.binary(max_size=40), max_size=3),
+        st.binary(max_size=12),
+    )
+)
+def test_any_tail_after_a_valid_header_is_read_or_refused_typed(tmp_path, tail):
+    """Whatever follows a valid header, a non-strict read returns a
+    recovery accounting for every byte, or raises a WalError."""
+    path = tmp_path / "fuzz.wal"
+    path.write_bytes(_HEADER + tail)
+    try:
+        recovery = read_wal(path, strict=False)
+    except WalError:
+        return
+    assert recovery.valid_bytes + recovery.truncated_bytes == len(_HEADER + tail)
+
+
+@_FUZZ
+@given(st.binary(max_size=64))
+@example(b"[]")
+@example(b'{"seq": 1}')
+@example(b'{"seq": "1", "events": [], "response": {}}')
+@example(b'{"seq": 1, "events": [], "response": {}}' + b"\xff")
+@example(b"[" * (sys.getrecursionlimit() + 100))
+def test_crc_valid_record_with_any_payload_is_refused(tmp_path, payload):
+    path = tmp_path / "fuzz.wal"
+    path.write_bytes(_HEADER + _framed(payload))
+    with pytest.raises(WalCorruptionError):
+        read_wal(path)
 
 
 def test_state_version_skew_refused(tmp_path):
