@@ -21,13 +21,25 @@ terminates.
 
 The descent runs from several starts, and runs them together: each
 start is one row ("lane") of a ``lanes × horizon`` active-count array,
-and all live lanes visit instance *k* in the same step, so one step
-scores instance *k*'s window for every lane with one 2-D suffix sum and
-a row-wise argmin. Lanes share no state, so each makes exactly the
-moves of its own sequential descent. The starts are batched, not the
-users: one user's instances are visited in order, so a cross-user
-lockstep would still take as many steps per pass as the largest user
-has instances.
+and each step scores one instance *k* for every live lane whose next
+unplaced instance it is, with one 2-D suffix sum and a row-wise argmin.
+Lanes share no state, so each makes exactly the moves of its own
+sequential descent. The starts are batched, not the users: one user's
+instances are visited in order, so a cross-user lockstep would still
+take as many steps per pass as the largest user needs.
+
+Within a batch (instances sharing a span) a lane places whole runs
+without scoring them. Say instance *k* is scored on its restored window
+``W`` (the lane's timeline with *k* active) and placed at stop ``n``.
+With *k* at ``n``, a following instance that stops at ``n`` is scored
+on ``W`` again; one that stops at another hour ``c`` is scored on
+``W - 1`` over ``[n, c)`` when ``c > n``, or ``W + 1`` over ``[c, n)``
+when ``c < n``, and the i-th such instance, the earlier ones moved to
+``n``, on ``W ∓ i`` there. The argmin reads the window only through the
+spill mask ``d >= W``, so as long as no hour crosses it (``W - d`` not
+in ``[1, i]`` over ``[n, c)``, ``d - W`` not in ``[0, i)`` over
+``[c, n)``) the instance gets the same suffix counts, the same floats
+and the same stop ``n`` as *k*. The lane moves the whole run at once.
 
 ``offline_decisions`` exposes the first pass against the keep-everything
 world (the per-instance benchmark the paper's proofs reason about), and
@@ -77,7 +89,7 @@ def optimal_sale_hour(
     min_age`` (the proofs take ε ∈ [φ, 1]). Returns ``(None, 0.0)`` when
     keeping is optimal.
     """
-    _check_min_age(min_age)
+    min_age = _checked_min_age(min_age, instance.period)
     start = instance.reserved_at
     end = min(instance.expires_at, horizon)
     length = end - start
@@ -99,9 +111,20 @@ def optimal_sale_hour(
     return start + int(ages[0]), float(deltas[0])
 
 
-def _check_min_age(min_age: int) -> None:
-    if min_age < 1:
-        raise SimulationError(f"min_age must be >= 1, got {min_age!r}")
+def _checked_count(name: str, value: object) -> int:
+    """A whole number >= 1: Python and NumPy integers only, so a bool,
+    a float or a string is refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise SimulationError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
+
+
+def _checked_min_age(min_age: object, period: int) -> int:
+    """``min_age`` as an ``int``, capped at the period: no instance is
+    older than its period, so any larger value keeps every instance."""
+    return min(_checked_count("min_age", min_age), period)
 
 
 def _fixed_deltas(
@@ -210,6 +233,61 @@ def _schedule_cost(
     )
 
 
+#: Fewest instances left in a batch for which a lane computes a run's room.
+_MIN_RUN = 2
+
+
+def _room(
+    window: np.ndarray, demand: np.ndarray, start: int, chosen: int, other: int,
+    cap: int,
+) -> int:
+    """How many instances stopping at ``other`` can move to ``chosen``
+    one after another while the spill mask ``demand >= window`` stays
+    as it is, at most ``cap``.
+
+    ``window`` is the restored window the choice was scored on; the
+    i-th such instance is scored on it shifted by i over the hours
+    between the two stops: down when ``other`` is later, up when it is
+    earlier.
+    """
+    if other > chosen:
+        hours = slice(chosen - start, other - start)
+        gaps = window[hours] - demand[hours]
+        gaps = gaps[gaps >= 1]
+        return min(int(gaps.min()) - 1, cap) if gaps.size else cap
+    hours = slice(other - start, chosen - start)
+    gaps = demand[hours] - window[hours]
+    gaps = gaps[gaps >= 0]
+    return min(int(gaps.min()), cap) if gaps.size else cap
+
+
+def _shift(line: np.ndarray, old: int, new: int, count: int) -> None:
+    """``count`` instances of one span stop at ``new`` instead of ``old``."""
+    if new < old:
+        line[new:old] -= count
+    elif new > old:
+        line[old:new] += count
+
+
+def _run_end(
+    row: list[int], j: int, bend: int, chosen: int, other: int, room: int
+) -> "tuple[int, int]":
+    """One past the run from ``j`` placed at ``chosen``: instances that
+    stop there or, up to ``room`` of them, at ``other``. Returns the
+    end and how many of the run stopped at ``other``."""
+    count = 0
+    while j < bend:
+        stop = row[j]
+        if stop == other:
+            if count == room:
+                break
+            count += 1
+        elif stop != chosen:
+            break
+        j += 1
+    return j, count
+
+
 def _descend(
     demands: np.ndarray,
     starts: np.ndarray,
@@ -226,54 +304,90 @@ def _descend(
     instances in order and moves each to its best sale hour with the
     others held fixed; a lane stops after a pass without a move, and
     every lane after ``max_passes`` passes.
+
+    After a lane scores instance k and places it at ``n``, it places
+    the run of k's batch that follows without scoring it: instances
+    already at ``n``, and instances at the batch's next other stop
+    ``c`` while their count stays within :func:`_room` (see the
+    module docstring for why each would choose ``n``). The run moves
+    with one slice update of the timeline and one of the stops. Each
+    step scores the lanes whose next unplaced instance is the lowest.
+    A lane computes the room only when at least ``_MIN_RUN`` instances
+    of the batch are left and, after a room of zero, only when its
+    choice in that batch repeats; skipping it scores more instances,
+    never different ones.
     """
     horizon = demands.size
     r = np.stack([_timeline(starts, row, horizon) for row in stops])
+    timelines = list(r)
+    rows = stops.tolist()
     span_starts, span_ends = starts.tolist(), ends.tolist()
+    # Spans shorten only at the horizon, so the instances that can sell
+    # are a prefix; batch_ends[k] is one past the last instance of k's
+    # batch (same start, so same span).
+    scored = int(np.count_nonzero(ends - starts > min_age))
+    batch_ends = np.searchsorted(starts, starts, side="right").tolist()
     # Per window length: its hour offsets and its fixed deltas.
     by_length: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
-    live = np.arange(stops.shape[0])
+    # (lane, batch end) → the lane's last choice there after a zero room.
+    spent: "dict[tuple[int, int], int]" = {}
+    live = list(range(len(rows)))
     for _ in range(max_passes):
-        changed = np.zeros(stops.shape[0], dtype=bool)
-        for k, (start, end) in enumerate(zip(span_starts, span_ends)):
+        changed = [False] * len(rows)
+        # Next unplaced instance → the lanes waiting to score it.
+        waiting = {0: live} if scored else {}
+        while waiting:
+            k = min(waiting)
+            lanes = waiting.pop(k)
+            start, end, bend = span_starts[k], span_ends[k], batch_ends[k]
             length = end - start
-            if length <= min_age:
-                continue
-            current = stops[live, k]
-            lanes = live
-            if k and start == span_starts[k - 1]:
-                # Instance k-1 has the same span. A lane whose stop for k
-                # equals the stop it just chose for k-1 would score k on
-                # the very timeline it scored k-1 on, so it would choose
-                # that stop again: it keeps it.
-                differs = current != stops[live, k - 1]
-                lanes, current = live[differs], current[differs]
-                if lanes.size == 0:
-                    continue
             if length not in by_length:
                 by_length[length] = (
                     np.arange(length),
                     _fixed_deltas(length, model.period, model, min_age),
                 )
             hours, fixed = by_length[length]
+            current = [rows[lane][k] for lane in lanes]
             window = r[lanes, start:end]
             # Score instance k as kept: restore it where a lane sold it.
-            window += hours >= (current - start)[:, np.newaxis]
-            ages, _ = _best_sale_ages(demands[start:end] >= window, fixed, model, min_age)
-            chosen = np.where(ages < 0, end, start + ages)
-            # Instance k is now active over [start, new), not [start, old).
-            for lane, old, new in zip(lanes.tolist(), current.tolist(), chosen.tolist()):
-                if new < old:
-                    r[lane, new:old] -= 1
-                elif new > old:
-                    r[lane, old:new] += 1
-                else:
-                    continue
-                stops[lane, k] = new
-                changed[lane] = True
-        live = live[changed[live]]
-        if live.size == 0:
+            window += hours >= (np.array(current) - start)[:, np.newaxis]
+            demand = demands[start:end]
+            ages, _ = _best_sale_ages(demand >= window, fixed, model, min_age)
+            chosen = np.where(ages < 0, end, start + ages).tolist()
+            for lane, old, new, restored in zip(lanes, current, chosen, window):
+                row, line = rows[lane], timelines[lane]
+                # Instance k is now active over [start, new), not [start, old).
+                row[k] = new
+                _shift(line, old, new, 1)
+                moved = new != old
+                j = k + 1
+                while j < bend and row[j] == new:
+                    j += 1
+                if j < bend:
+                    other, room = row[j], 0
+                    if bend - j >= _MIN_RUN:
+                        key = (lane, bend)
+                        if spent.get(key, new) == new:
+                            room = _room(
+                                restored, demand, start, new, other, bend - j
+                            )
+                        if room:
+                            spent.pop(key, None)
+                        else:
+                            spent[key] = new
+                    j, count = _run_end(row, j, bend, new, other, room)
+                    if count:
+                        row[k + 1 : j] = [new] * (j - k - 1)
+                        _shift(line, other, new, count)
+                        moved = True
+                if moved:
+                    changed[lane] = True
+                if j < scored:
+                    waiting.setdefault(j, []).append(lane)
+        live = [lane for lane in live if changed[lane]]
+        if not live:
             break
+    stops[...] = rows
 
 
 def _policy_start_schedules(
@@ -347,9 +461,8 @@ def offline_optimal_schedule(
     """
     trace = as_trace(demands)
     counts = _normalise_reservations(reservations, len(trace))
-    if max_passes < 1:
-        raise SimulationError(f"max_passes must be >= 1, got {max_passes!r}")
-    _check_min_age(min_age)
+    max_passes = _checked_count("max_passes", max_passes)
+    min_age = _checked_min_age(min_age, model.period)
     d = trace.values
     starts, ends = _spans(counts, model.period)
     span_starts, span_ends = starts.tolist(), ends.tolist()
@@ -419,7 +532,7 @@ def exhaustive_optimal_schedule(
     """
     trace = as_trace(demands)
     counts = _normalise_reservations(reservations, len(trace))
-    _check_min_age(min_age)
+    min_age = _checked_min_age(min_age, model.period)
     d = trace.values
     starts, ends = _spans(counts, model.period)
     if starts.size > max_instances:
@@ -455,7 +568,7 @@ def offline_decisions(
     per-instance benchmark), with their exact cost deltas."""
     trace = as_trace(demands)
     counts = _normalise_reservations(reservations, len(trace))
-    _check_min_age(min_age)
+    min_age = _checked_min_age(min_age, model.period)
     d = trace.values
     starts, ends = _spans(counts, model.period)
     r = _timeline(starts, ends, d.size)

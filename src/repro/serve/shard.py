@@ -76,7 +76,7 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._version import __version__
 from repro.core.account import CostModel
@@ -967,6 +967,14 @@ class ShardWorker:
     Batches without a ``seq`` (not the router's — it always stamps one)
     are applied but not WAL-logged; only the periodic snapshot covers
     them.
+
+    A failed append leaves a batch applied but unlogged, so the worker
+    stops: it answers that batch and every later op with
+    :class:`ShardUnavailableError`, calls ``on_fail`` (the worker
+    process closes its server and exits) and skips the final snapshot,
+    which would make the unlogged batch durable. The supervisor restarts
+    it from the last snapshot and the WAL, and the router's retry of the
+    same seq applies the batch once.
     """
 
     def __init__(
@@ -994,6 +1002,9 @@ class ShardWorker:
         self._lock = threading.Lock()
         self._wal: "Optional[Wal]" = None
         self._batches_since_snapshot = 0
+        #: Why the worker stopped serving, once a WAL append failed.
+        self.failed: "Optional[str]" = None
+        self.on_fail: "Optional[Callable[[], None]]" = None
 
         registry = app.registry
         self.wal_appends_total = registry.counter(
@@ -1070,6 +1081,8 @@ class ShardWorker:
         self, op: str, body: "Dict[str, object]"
     ) -> "Tuple[int, Dict[str, object]]":
         """One request frame's ``(status, envelope body)`` answer."""
+        if self.failed is not None:
+            return 503, error_envelope(ShardUnavailableError.__name__, self.failed)
         try:
             if op == "ingest":
                 return 200, envelope(self._ingest(body))
@@ -1102,6 +1115,9 @@ class ShardWorker:
         try:
             with self._lock:
                 wal = self._wal
+                if self.failed is not None:
+                    # A batch that waited on the lock while another failed.
+                    raise ShardUnavailableError(self.failed)
                 if wal is None:
                     raise ServeStateError(
                         "worker WAL is not open (recover() was never run)"
@@ -1116,12 +1132,18 @@ class ShardWorker:
                 )
                 if applied:
                     events = body.get("events")
-                    with self.wal_append_seconds.time():
-                        wal.append(
-                            int(seq),  # type: ignore[arg-type]
-                            list(events) if isinstance(events, list) else [],
-                            response,
-                        )
+                    try:
+                        with self.wal_append_seconds.time():
+                            wal.append(
+                                int(seq),  # type: ignore[arg-type]
+                                list(events) if isinstance(events, list) else [],
+                                response,
+                            )
+                    except Exception as error:
+                        # Whatever the append raised, the batch is applied
+                        # and not logged.
+                        self._fail(f"WAL append of seq {seq} failed: {error}")
+                        raise ShardUnavailableError(self.failed) from error
                     self.wal_appends_total.inc()
                     self._batches_since_snapshot += 1
                     if self._batches_since_snapshot >= self.snapshot_interval:
@@ -1147,10 +1169,19 @@ class ShardWorker:
             self.wal_compactions_total.inc()
         self._batches_since_snapshot = 0
 
+    def _fail(self, reason: str) -> None:
+        """Stop serving: the applied state is ahead of the WAL."""
+        self.failed = f"{reason}; the worker stops and restarts from its WAL"
+        print(f"repro.serve: {self.failed}", file=sys.stderr)
+        if self.on_fail is not None:
+            self.on_fail()
+
     def shutdown(self) -> None:
-        """Final snapshot + compact, then close the WAL."""
+        """Final snapshot + compact, then close the WAL. A failed
+        worker takes no snapshot: its state holds an unlogged batch."""
         with self._lock:
-            self._snapshot_locked()
+            if self.failed is None:
+                self._snapshot_locked()
             if self._wal is not None:
                 self._wal.close()
                 self._wal = None
@@ -1334,6 +1365,7 @@ def run_binary_worker(args: argparse.Namespace) -> int:
         print(f"repro.serve: error: {error}", file=sys.stderr)
         return 2
     server = BinaryServer(args.host, args.port, worker.handle)
+    worker.on_fail = server.close
     host, port = server.address
     print(
         f"repro.serve worker listening on binary://{host}:{port} "
@@ -1354,4 +1386,4 @@ def run_binary_worker(args: argparse.Namespace) -> int:
     finally:
         server.close()
         worker.shutdown()
-    return 0
+    return 1 if worker.failed is not None else 0

@@ -46,6 +46,7 @@ the router's merge logic is transport-agnostic.
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import struct
@@ -591,10 +592,14 @@ class BinaryServer:
             thread.start()
 
     def close(self) -> None:
+        """Stop accepting; safe from any thread (a shutdown wakes the
+        accept loop, which a bare close does not on Linux)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
 
     def _serve_connection(self, connection: socket.socket) -> None:

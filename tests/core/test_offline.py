@@ -150,6 +150,61 @@ def test_malformed_reservation_counts_are_refused(entry, counts, toy_model):
         entry(S1_DEMANDS, counts, toy_model)
 
 
+def _sold_hour(model, **kwargs):
+    instance = ReservedInstance(instance_id=0, reserved_at=0, period=8)
+    busy = np.array(S1_DEMANDS[:8], dtype=bool)
+    hour, _ = optimal_sale_hour(busy, instance, 16, model, **kwargs)
+    return {} if hour is None else {0: hour}
+
+
+def _run_sales(model, **kwargs):
+    result = run_offline_optimal(S1_DEMANDS, S1_RESERVATIONS, model, **kwargs)
+    return {sale.instance_id: sale.hour for sale in result.sales}
+
+
+#: Each OPT entry point on the S1 fleet, as the sales it makes.
+OPT_SALES = {
+    "optimal_sale_hour": _sold_hour,
+    "offline_optimal_schedule": lambda model, **kwargs: offline_optimal_schedule(
+        S1_DEMANDS, S1_RESERVATIONS, model, **kwargs
+    ),
+    "run_offline_optimal": _run_sales,
+    "exhaustive_optimal_schedule": lambda model, **kwargs: exhaustive_optimal_schedule(
+        S1_DEMANDS, S1_RESERVATIONS, model, **kwargs
+    )[0],
+    "offline_decisions": lambda model, **kwargs: {
+        d.instance_id: d.sell_hour
+        for d in offline_decisions(S1_DEMANDS, S1_RESERVATIONS, model, **kwargs)
+        if d.sell_hour is not None
+    },
+}
+WITH_PASSES = ("offline_optimal_schedule", "run_offline_optimal")
+NOT_COUNTS = [1.5, float("nan"), True, False, "3", None, 0, -2, np.float64(2.0)]
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+@pytest.mark.parametrize("name", OPT_SALES)
+def test_opt_counts_are_python_or_numpy_integers(name, value, toy_model):
+    arguments = ["min_age"] + (["max_passes"] if name in WITH_PASSES else [])
+    for argument in arguments:
+        with pytest.raises(SimulationError, match=argument):
+            OPT_SALES[name](toy_model, **{argument: value})
+
+
+@pytest.mark.parametrize("name", OPT_SALES)
+def test_opt_counts_take_any_integer_size(name, toy_model):
+    sales = OPT_SALES[name]
+    assert sales(toy_model) == {0: 2}
+    assert sales(toy_model, min_age=np.int64(1)) == {0: 2}
+    assert sales(toy_model, min_age=np.uint8(3)) == sales(toy_model, min_age=3)
+    # No instance is older than its period: every one is kept.
+    assert sales(toy_model, min_age=8) == {}
+    assert sales(toy_model, min_age=10**30) == {}
+    if name in WITH_PASSES:
+        assert sales(toy_model, max_passes=np.int32(1)) == {0: 2}
+        assert sales(toy_model, max_passes=10**30) == {0: 2}
+
+
 class TestDecisions:
     def test_decision_list_covers_all_instances(self, toy_model):
         decisions = offline_decisions(S1_DEMANDS, S1_RESERVATIONS, toy_model)

@@ -15,6 +15,8 @@ import random
 import re
 import struct
 import sys
+import threading
+import time
 import zlib
 
 import pytest
@@ -28,6 +30,7 @@ from repro.serve.transport import (
     FRAME_REQUEST,
     FRAME_RESPONSE,
     WIRE_VERSION,
+    BinaryServer,
     FrameDecoder,
     decode_payload,
     encode_frame,
@@ -375,3 +378,18 @@ def test_request_response_message_round_trip():
 def test_decode_payload_requires_mapping():
     with pytest.raises(CodecError, match="expected an object"):
         decode_payload(encode_json([1, 2, 3]))
+
+
+# ---------------------------------------------------------------------------
+# server lifecycle
+
+def test_close_from_another_thread_ends_the_accept_loop():
+    # A shard worker closes its server from a request thread when it
+    # stops; the accept loop must return so the process can exit.
+    server = BinaryServer("127.0.0.1", 0, lambda op, body: (200, {}))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let it block in accept()
+    server.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
-from repro.serve.envelope import SCHEMA_VERSION
+from repro.serve.envelope import SCHEMA_VERSION, error_kind
 from repro.serve.errors import (
     WalCorruptionError,
     WalError,
@@ -180,6 +180,62 @@ def test_recover_compacts_so_next_restart_replays_nothing(tmp_path):
     third = make_worker(tmp_path, "w", snapshot_interval=100)
     assert third.recover()[0] == 0
     assert_same_state(third.app, reference_state(stream))
+
+
+def test_failed_append_stops_the_worker_and_the_retry_applies_once(
+    tmp_path, monkeypatch
+):
+    """A batch applied but not logged must not outlive its worker: the
+    worker answers 503 and refuses every later op, takes no final
+    snapshot, and the router's retry, resynced from the restarted
+    worker's health, ages the instance by exactly one hour."""
+    def hour(seq):
+        return {
+            "schema": SCHEMA_VERSION,
+            "seq": seq,
+            "events": [{"instance": "i-1", "busy": True}],
+        }
+
+    def age(worker):
+        _, body = worker.handle("decisions", {"instance": "i-1"})
+        return body["instances"][0]["age_hours"]
+
+    worker = make_worker(tmp_path, "w", snapshot_interval=100)
+    worker.recover()
+    stopped = []
+    worker.on_fail = lambda: stopped.append(True)
+    assert worker.handle("ingest", hour(1))[0] == 200
+    append = Wal.append
+
+    def full_disk_once(wal, *args):
+        monkeypatch.setattr(Wal, "append", append)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Wal, "append", full_disk_once)
+    status, body = worker.handle("ingest", hour(2))
+    assert (status, error_kind(body)) == (503, "ShardUnavailableError")
+    assert stopped == [True]
+    for op, op_body in [
+        ("ingest", hour(2)),
+        ("ingest", hour(3)),
+        ("health", {}),
+        ("decisions", {"instance": "i-1"}),
+        ("costs", {}),
+        ("metrics", {}),
+    ]:
+        status, body = worker.handle(op, op_body)
+        assert (status, error_kind(body)) == (503, "ShardUnavailableError"), op
+    # Only the WAL holds seq 1; a final snapshot would hold seq 2 too.
+    assert not (tmp_path / "w.json").exists()
+    worker.shutdown()
+    assert not (tmp_path / "w.json").exists()
+
+    reborn = make_worker(tmp_path, "w", snapshot_interval=100)
+    assert reborn.recover()[0] == 1
+    _, health = reborn.handle("health", {})
+    status, _ = reborn.handle("ingest", hour(health["ingest_seq"] + 1))
+    assert status == 200
+    assert age(reborn) == 2
 
 
 # ---------------------------------------------------------------------------
