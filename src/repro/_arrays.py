@@ -11,6 +11,10 @@ inputs are accepted only when every value is finite and exactly
 integral, anything else raises the caller's error type with a message
 naming the offending argument. Values outside ``int64`` are refused for
 that reason, before a cast could wrap them or warn.
+
+:func:`as_int` is the scalar counterpart for integer arguments (hours,
+counts, seeds): Python and NumPy integers only, never a ``bool``, a float
+or a string, with one message shape for every caller.
 """
 
 from __future__ import annotations
@@ -76,3 +80,19 @@ def as_count_array(
             "be silently truncated (e.g. 1.9 -> 1)"
         )
     return rounded.astype(np.int64)
+
+
+def as_int(
+    value: object,
+    name: str,
+    error: "Type[Exception]",
+    minimum: "int | None" = None,
+) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a ``bool``,
+    and at least ``minimum`` when one is given; anything else raises
+    ``error`` naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)

@@ -203,6 +203,27 @@ class HourlyCosts:
         """Book ``hours_billed`` reservation-hours at ``alpha*p`` each."""
         self.reserved_hourly[hour] += hours_billed * model.alpha * model.p
 
+    def record_timeline(
+        self, demands: np.ndarray, active: np.ndarray, model: CostModel
+    ) -> np.ndarray:
+        """Book every hour's ``o_t * p`` and reserved hourly fee from the
+        final active-count timeline ``active`` (Eq. (1)'s ``r_t``) in one
+        array pass; returns the on-demand counts ``o_t`` (``int64``).
+
+        Each hour gets exactly what :meth:`record_on_demand` and
+        :meth:`record_reserved_hourly` would book for it, with the same
+        float operations. Exact for a simulation whose events change the
+        timeline only from their own hour on.
+        """
+        needed = np.maximum(demands - active, 0)
+        if model.fee_mode is HourlyFeeMode.ACTIVE:
+            billed = active
+        else:
+            billed = np.minimum(demands, active)
+        self.on_demand += needed * model.p
+        self.reserved_hourly += billed * model.alpha * model.p
+        return needed
+
     def record_sale(self, hour: int, remaining_fraction: float, model: CostModel) -> None:
         """Book one sale's income at ``hour``."""
         self.sale_income[hour] += model.sale_income(remaining_fraction)

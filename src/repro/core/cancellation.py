@@ -53,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.core.account import CostModel
 from repro.errors import SimulationError
 
@@ -87,17 +88,11 @@ class CancellationModel:
                 f"penalty must be finite and >= 0, got {self.penalty!r}"
             )
         object.__setattr__(self, "penalty", penalty)
-        if isinstance(self.trigger_hours, bool) or not isinstance(
-            self.trigger_hours, (int, np.integer)
-        ):
-            raise SimulationError(
-                f"trigger_hours must be an integer, got {self.trigger_hours!r}"
-            )
-        if int(self.trigger_hours) < 1:
-            raise SimulationError(
-                f"trigger_hours must be >= 1, got {self.trigger_hours!r}"
-            )
-        object.__setattr__(self, "trigger_hours", int(self.trigger_hours))
+        object.__setattr__(
+            self,
+            "trigger_hours",
+            as_int(self.trigger_hours, "trigger_hours", SimulationError, minimum=1),
+        )
 
     def to_payload(self) -> dict:
         """JSON-ready form (checkpoints, cache keys)."""

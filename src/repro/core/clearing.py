@@ -45,6 +45,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.core.streams import key_to_int as _key_to_int  # noqa: F401 - re-export
 from repro.core.streams import stream as _stream
 from repro.errors import SimulationError
@@ -90,14 +91,7 @@ def _require_fraction(name: str, value: float) -> float:
 
 def _require_count(name: str, value: object) -> int:
     """A non-negative integral count; fractional floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SimulationError(
-            f"{name} must be an integer hour count, got {value!r}"
-        )
-    count = int(value)
-    if count < 0:
-        raise SimulationError(f"{name} must be >= 0, got {count!r}")
-    return count
+    return as_int(value, name, SimulationError, minimum=0)
 
 
 def _payload_fields(payload: object, label: str, keys: "Tuple[str, ...]") -> dict:
@@ -306,12 +300,7 @@ class ClearingModel:
             )
         if self.max_open_hours is not None:
             _require_count("max_open_hours", self.max_open_hours)
-        if isinstance(self.seed, bool) or not isinstance(
-            self.seed, (int, np.integer)
-        ):
-            raise SimulationError(f"seed must be an integer, got {self.seed!r}")
-        if int(self.seed) < 0:
-            raise SimulationError(f"seed must be >= 0, got {self.seed!r}")
+        as_int(self.seed, "seed", SimulationError, minimum=0)
 
     # ------------------------------------------------------------------
 

@@ -10,11 +10,18 @@ which the selling policy may again evaluate T/4 later, and so on.
 
 1. instances reaching their decision spot are evaluated by the selling
    policy (Algorithm 1's working-time rule, unchanged; sales take
-   effect at the start of the hour);
+   effect at the start of the hour, and their income is booked then);
 2. the purchasing stepper sees the demand and the *live*, post-sale
    pool and reserves (so a gap opened by a sale can be refilled the
-   same hour — the stepper genuinely reacts to the seller);
-3. on-demand tops up the residual gap and Eq. (1) costs are booked.
+   same hour — the stepper genuinely reacts to the seller), booking
+   the upfronts and any re-buy surcharge.
+
+After the last hour, on-demand tops up each hour's residual gap: the
+on-demand and reserved hourly costs are booked from the final physical
+timeline in one pass, by the same
+:meth:`~repro.core.account.HourlyCosts.record_timeline` as the decoupled
+simulator (exact, as an hour's events change the timeline only from
+that hour on).
 
 The function returns the same :class:`~repro.core.simulator.SimulationResult`
 as the decoupled path, so all analyses apply. The decoupled run is the
@@ -27,7 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.account import CostModel, HourlyCosts, HourlyFeeMode
+from repro._arrays import as_int
+from repro.core.account import CostModel, HourlyCosts
 from repro.core.instance import ReservedInstance
 from repro.core.ledger import ReservationLedger
 from repro.core.policies import CancellationAwareSellingPolicy, SellingPolicy
@@ -37,6 +45,7 @@ from repro.core.simulator import (
     evaluate_decision,
     schedule_decision,
 )
+from repro.errors import SimulationError
 from repro.purchasing.stepper import PurchasingStepper
 from repro.workload.base import TraceLike, as_trace
 
@@ -50,7 +59,7 @@ def run_coupled(
 ) -> SimulationResult:
     """Simulate purchasing and selling reacting to each other.
 
-    See the module docstring for the per-hour sequence; all Eq. (1)
+    See the module docstring for the sequence of events; all Eq. (1)
     accounting matches :class:`~repro.core.simulator.SellingSimulator`.
     """
     trace = as_trace(demands)
@@ -59,7 +68,6 @@ def run_coupled(
     ledger = ReservationLedger(horizon, period, trace.values)
     costs = HourlyCosts(horizon)
     sales: list[SaleRecord] = []
-    on_demand = np.zeros(horizon, dtype=np.int64)
     reservations = np.zeros(horizon, dtype=np.int64)
     pending: dict[int, list[ReservedInstance]] = {}
     # A cancellation-aware seller pays its penalty when the purchasing
@@ -87,9 +95,12 @@ def run_coupled(
                     (instance.reserved_at, min(instance.reserved_at + period, horizon))
                 )
 
-        count = int(stepper.step(hour, demand, ledger.active_count(hour)))
-        if count < 0:
-            raise ValueError(f"stepper returned a negative count at hour {hour}")
+        count = as_int(
+            stepper.step(hour, demand, ledger.active_count(hour)),
+            f"the stepper's count at hour {hour}",
+            SimulationError,
+            minimum=0,
+        )
         if count:
             reservations[hour] = count
             created = ledger.reserve(hour, count)
@@ -106,15 +117,7 @@ def run_coupled(
                     )
                 sold_windows = sold_windows[count:]
 
-        active = ledger.active_count(hour)
-        needed = ledger.on_demand_needed(hour)
-        on_demand[hour] = needed
-        costs.record_on_demand(hour, needed, model)
-        if model.fee_mode is HourlyFeeMode.ACTIVE:
-            costs.record_reserved_hourly(hour, active, model)
-        else:
-            costs.record_reserved_hourly(hour, ledger.busy_count(hour), model)
-
+    on_demand = costs.record_timeline(ledger.demands, ledger.r_physical, model)
     return SimulationResult(
         policy_name=policy_label or f"coupled:{policy.name}",
         horizon=horizon,

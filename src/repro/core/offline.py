@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro._arrays import as_int
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.instance import ReservedInstance
 from repro.core.policies import POLICY_OPT, ScriptedSellingPolicy
@@ -111,20 +112,10 @@ def optimal_sale_hour(
     return start + int(ages[0]), float(deltas[0])
 
 
-def _checked_count(name: str, value: object) -> int:
-    """A whole number >= 1: Python and NumPy integers only, so a bool,
-    a float or a string is refused rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SimulationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise SimulationError(f"{name} must be >= 1, got {value!r}")
-    return int(value)
-
-
 def _checked_min_age(min_age: object, period: int) -> int:
-    """``min_age`` as an ``int``, capped at the period: no instance is
-    older than its period, so any larger value keeps every instance."""
-    return min(_checked_count("min_age", min_age), period)
+    """``min_age`` as an ``int`` >= 1, capped at the period: no instance
+    is older than its period, so any larger value keeps every instance."""
+    return min(as_int(min_age, "min_age", SimulationError, minimum=1), period)
 
 
 def _fixed_deltas(
@@ -461,7 +452,7 @@ def offline_optimal_schedule(
     """
     trace = as_trace(demands)
     counts = _normalise_reservations(reservations, len(trace))
-    max_passes = _checked_count("max_passes", max_passes)
+    max_passes = as_int(max_passes, "max_passes", SimulationError, minimum=1)
     min_age = _checked_min_age(min_age, model.period)
     d = trace.values
     starts, ends = _spans(counts, model.period)

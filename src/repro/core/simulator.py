@@ -1,16 +1,25 @@
-"""The reference simulator: hour-by-hour replay of Eq. (1) under a policy.
+"""The reference simulator: an event-by-event replay of Eq. (1) under a policy.
 
 Given a demand trace ``d_t``, a reservation schedule ``n_t`` (produced by
 one of the purchasing imitators of :mod:`repro.purchasing`, matching the
 paper's Section VI-A setup), a :class:`~repro.core.account.CostModel` and
-a :class:`~repro.core.policies.SellingPolicy`, the simulator:
+a :class:`~repro.core.policies.SellingPolicy`, the simulator visits, in
+hour order, only the hours at which something happens:
 
-1. opens the scheduled reservations each hour (booking their upfronts),
-2. evaluates any instance whose decision hour arrived — computing its
-   working time through the ledger's Algorithm-1 rule and asking the
-   policy whether to sell (a sale takes effect at the start of the hour),
-3. buys ``o_t = max(0, d_t − r_t)`` on-demand instances, and
-4. bills the reserved hourly fee (per the model's fee mode).
+1. it opens the reservations scheduled for the hour (booking their
+   upfronts), then
+2. evaluates every instance whose decision hour arrived: it computes the
+   instance's working time through the ledger's Algorithm-1 rule and asks
+   the policy whether to sell (a sale takes effect at the start of the
+   hour, and its income is booked then).
+
+An hour that both reserves and decides reserves first. Once the walk is
+over, :meth:`~repro.core.account.HourlyCosts.record_timeline` books every
+hour's ``o_t = max(0, d_t − r_t)`` on-demand purchases and the reserved
+hourly fee (per the model's fee mode) from the final physical timeline
+``r_t`` in one array pass. That is exact because an event at hour ``t``
+changes ``r`` only from ``t`` on, so each hour's count is final once its
+own events are applied.
 
 The result carries the full per-hour cost series, every sale record, and
 the instance ledger, so analyses never need to re-run anything.
@@ -18,12 +27,14 @@ the instance ledger, so analyses never need to re-run anything.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.account import CostBreakdown, CostModel, HourlyCosts, HourlyFeeMode
+from repro._arrays import as_count_array
+from repro.core.account import CostBreakdown, CostModel, HourlyCosts
 from repro.core.breakeven import break_even_working_hours
 from repro.core.instance import ReservedInstance
 from repro.core.ledger import ReservationLedger
@@ -131,18 +142,23 @@ def schedule_decision(
     instance: ReservedInstance,
     horizon: int,
     pending: "dict[int, list[ReservedInstance]]",
-) -> None:
+) -> "int | None":
     """Register ``instance`` for evaluation at its policy decision hour
-    (skipping degenerate or out-of-horizon spots). Shared by the
-    decoupled and coupled simulation loops."""
+    (skipping degenerate, fractional or out-of-horizon spots) and return
+    that hour as an ``int``, or None when nothing was registered. Shared
+    by the decoupled and coupled simulation loops."""
     decision_hour = policy.decision_hour(instance)
     if decision_hour is None:
-        return
+        return None
     if not instance.reserved_at < decision_hour < instance.expires_at:
-        return  # degenerate spot (e.g. round(phi*T) == 0)
+        return None  # degenerate spot (e.g. round(phi*T) == 0)
     if decision_hour >= horizon:
-        return  # falls beyond the simulated horizon
-    pending.setdefault(decision_hour, []).append(instance)
+        return None  # falls beyond the simulated horizon
+    hour = int(decision_hour)
+    if hour != decision_hour:
+        return None  # between hours: no hour ever reaches it
+    pending.setdefault(hour, []).append(instance)
+    return hour
 
 
 def evaluate_decision(
@@ -197,13 +213,10 @@ def _normalise_reservations(reservations, horizon: int) -> np.ndarray:
             f"reservations cover {array.size} hours but the demand trace "
             f"covers {horizon}"
         )
-    if np.any(array < 0):
+    counts = as_count_array(array, "reservations", SimulationError)
+    if np.any(counts < 0):
         raise SimulationError("reservation counts must be non-negative")
-    with np.errstate(invalid="ignore"):  # NaN casts to garbage, refused below
-        as_int = array.astype(np.int64)
-    if not np.array_equal(as_int, array):
-        raise SimulationError("reservation counts must be whole numbers")
-    return as_int
+    return counts.copy()  # owned: a result keeps it as its schedule
 
 
 class SellingSimulator:
@@ -215,7 +228,7 @@ class SellingSimulator:
 
     def run(self, demands: TraceLike, reservations: ArrayLike) -> SimulationResult:
         """Simulate the full horizon; see the module docstring for the
-        per-hour sequence of events."""
+        sequence of events."""
         trace = as_trace(demands)
         horizon = len(trace)
         schedule = _normalise_reservations(reservations, horizon)
@@ -223,32 +236,31 @@ class SellingSimulator:
         ledger = ReservationLedger(horizon, period, trace.values)
         costs = HourlyCosts(horizon)
         sales: list[SaleRecord] = []
-        on_demand = np.zeros(horizon, dtype=np.int64)
         # decision hour -> instances evaluated then, in reservation order.
         pending: dict[int, list[ReservedInstance]] = {}
+        # The hours left to visit, as a heap (a sorted list is one): every
+        # reservation hour, and each scheduled instance's decision hour.
+        due = np.flatnonzero(schedule).tolist()
 
-        for hour in range(horizon):
+        while due:
+            hour = heapq.heappop(due)
+            while due and due[0] == hour:
+                heapq.heappop(due)
             count = int(schedule[hour])
             if count:
                 created = ledger.reserve(hour, count)
                 costs.record_upfront(hour, count, self.model)
                 for instance in created:
-                    schedule_decision(self.policy, instance, horizon, pending)
+                    spot = schedule_decision(self.policy, instance, horizon, pending)
+                    if spot is not None:
+                        heapq.heappush(due, spot)
 
             for instance in pending.pop(hour, ()):  # sales effective this hour
                 evaluate_decision(
                     self.policy, instance, hour, ledger, self.model, costs, sales
                 )
 
-            active = ledger.active_count(hour)
-            needed = ledger.on_demand_needed(hour)
-            on_demand[hour] = needed
-            costs.record_on_demand(hour, needed, self.model)
-            if self.model.fee_mode is HourlyFeeMode.ACTIVE:
-                costs.record_reserved_hourly(hour, active, self.model)
-            else:
-                costs.record_reserved_hourly(hour, ledger.busy_count(hour), self.model)
-
+        on_demand = costs.record_timeline(ledger.demands, ledger.r_physical, self.model)
         return SimulationResult(
             policy_name=self.policy.name,
             horizon=horizon,

@@ -28,6 +28,7 @@ import hashlib
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.errors import SimulationError
 
 
@@ -57,11 +58,7 @@ def key_to_int(key: object) -> int:
 
 def validate_seed(seed: object) -> int:
     """A non-negative integer stream seed; bools and floats are rejected."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise SimulationError(f"seed must be an integer, got {seed!r}")
-    if int(seed) < 0:
-        raise SimulationError(f"seed must be >= 0, got {seed!r}")
-    return int(seed)
+    return as_int(seed, "seed", SimulationError, minimum=0)
 
 
 def stream(seed: int, key: object) -> np.random.Generator:

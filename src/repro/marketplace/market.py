@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.errors import MarketplaceError, SimulationError
 from repro.marketplace.listing import SERVICE_FEE_RATE, Listing
 
@@ -36,13 +37,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise SimulationError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def _require_int(name: str, value: object) -> int:
-    """An integral count; fractional floats are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SimulationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -65,8 +59,8 @@ class BuyRequest:
     value_per_period: "float | None" = None
 
     def __post_init__(self) -> None:
-        _require_int("count", self.count)
-        _require_int("hour", self.hour)
+        as_int(self.count, "count", SimulationError)
+        as_int(self.hour, "hour", SimulationError)
         _require_finite("max_unit_price", self.max_unit_price)
         if self.value_per_period is not None:
             _require_finite("value_per_period", self.value_per_period)
@@ -317,7 +311,7 @@ def simulate_market(
     service_fee_rate: float = SERVICE_FEE_RATE,
 ) -> MarketOutcome:
     """Run ``hours`` of buyer arrivals against a cohort of listings."""
-    _require_int("hours", hours)
+    as_int(hours, "hours", SimulationError)
     if hours <= 0:
         raise MarketplaceError(f"hours must be positive, got {hours!r}")
     market = Marketplace(service_fee_rate=service_fee_rate)

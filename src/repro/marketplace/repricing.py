@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import MarketplaceError
+from repro._arrays import as_int
+from repro.errors import MarketplaceError, SimulationError
 from repro.marketplace.listing import SERVICE_FEE_RATE, Listing
-from repro.marketplace.market import BuyerArrivalProcess, Marketplace, _require_int
+from repro.marketplace.market import BuyerArrivalProcess, Marketplace
 from repro.marketplace.seller import SellerStrategy
 
 
@@ -78,7 +79,7 @@ def simulate_repricing_market(
 
     A listing leaves the market when its remaining period burns out.
     """
-    _require_int("hours", hours)
+    as_int(hours, "hours", SimulationError)
     if hours <= 0:
         raise MarketplaceError(f"hours must be positive, got {hours!r}")
     proceeds = 0.0

@@ -51,6 +51,7 @@ from collections import deque
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
@@ -77,11 +78,7 @@ def checked_window_hours(value: object) -> "int | None":
     """None, or a whole number of hours >= 1; bools are refused."""
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SimulationError(f"window_hours must be an integer, got {value!r}")
-    if value < 1:
-        raise SimulationError(f"window_hours must be positive, got {value!r}")
-    return int(value)
+    return as_int(value, "window_hours", SimulationError, minimum=1)
 
 
 class OnlineBreakEven(PurchasingAlgorithm):

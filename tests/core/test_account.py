@@ -1,5 +1,6 @@
 """Unit tests for repro.core.account (the Eq. (1) cost model)."""
 
+import numpy as np
 import pytest
 
 from repro.core.account import CostBreakdown, CostModel, HourlyCosts, HourlyFeeMode
@@ -92,6 +93,23 @@ class TestHourlyCosts:
         assert series[0] == pytest.approx(8.0)
         assert series[1] == pytest.approx(-4.0)  # income exceeds spend
         assert series.sum() == pytest.approx(costs.total)
+
+    @pytest.mark.parametrize("fee_mode", list(HourlyFeeMode))
+    def test_timeline_books_what_the_hourly_records_book(self, toy_plan, fee_mode):
+        model = CostModel(plan=toy_plan, selling_discount=0.5, fee_mode=fee_mode)
+        demands = np.array([0, 3, 1, 5, 2, 0])
+        active = np.array([2, 2, 1, 1, 4, 0])
+        hourly = HourlyCosts(6)
+        for hour, (d, r) in enumerate(zip(demands.tolist(), active.tolist())):
+            hourly.record_on_demand(hour, max(0, d - r), model)
+            billed = r if fee_mode is HourlyFeeMode.ACTIVE else min(d, r)
+            hourly.record_reserved_hourly(hour, billed, model)
+        costs = HourlyCosts(6)
+        on_demand = costs.record_timeline(demands, active, model)
+        assert on_demand.dtype == np.int64
+        assert on_demand.tolist() == [0, 1, 0, 4, 0, 0]
+        assert costs.on_demand.tobytes() == hourly.on_demand.tobytes()
+        assert costs.reserved_hourly.tobytes() == hourly.reserved_hourly.tobytes()
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(SimulationError):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.coupled import run_coupled
 from repro.core.policies import KeepReservedPolicy, OnlineSellingPolicy
 from repro.core.simulator import run_policy
+from repro.errors import SimulationError
 from repro.purchasing.all_reserved import AllReserved
 from repro.purchasing.runner import imitate
 from repro.purchasing.stepper import AllReservedStepper, stepper_for
@@ -66,8 +67,26 @@ class TestReactivePurchasing:
             def step(self, hour, demand, active):
                 return -1
 
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             run_coupled([1] * 8, Broken(), toy_model, KeepReservedPolicy())
+
+    @pytest.mark.parametrize("count", [1.7, True, np.float64(1.0), "1", None])
+    def test_non_integer_stepper_output_rejected(self, toy_model, count):
+        class Broken:
+            def step(self, hour, demand, active):
+                return count if hour == 2 else 0
+
+        with pytest.raises(SimulationError, match="at hour 2 must be an integer"):
+            run_coupled([1] * 8, Broken(), toy_model, KeepReservedPolicy())
+
+    def test_numpy_integer_stepper_output_accepted(self, toy_model):
+        class NumpyCounts:
+            def step(self, hour, demand, active):
+                return np.int64(2) if hour == 0 else np.int32(0)
+
+        result = run_coupled([1] * 8, NumpyCounts(), toy_model, KeepReservedPolicy())
+        assert result.reservations.tolist() == [2] + [0] * 7
+        assert result.instances_reserved == 2
 
     def test_policy_label(self, toy_model):
         result = run_coupled(

@@ -150,6 +150,29 @@ def test_malformed_reservation_counts_are_refused(entry, counts, toy_model):
         entry(S1_DEMANDS, counts, toy_model)
 
 
+#: Counts that are not numbers at all, or not real integers: each once
+#: escaped as a NumPy or Python error, or (complex) was accepted.
+NOT_NUMBERS = {
+    "strings": ["1"] + ["0"] * 15,
+    "None": [None] * 16,
+    "object 2**63": np.array([2**63] + [0] * 15, dtype=object),
+    "complex": [1 + 0j] + [0] * 15,
+}
+WITH_RUN_POLICY = {
+    **ENTRY_POINTS,
+    "run_policy": lambda demands, counts, model: run_policy(
+        demands, counts, model, KeepReservedPolicy()
+    ),
+}
+
+
+@pytest.mark.parametrize("counts", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("entry", WITH_RUN_POLICY.values(), ids=WITH_RUN_POLICY)
+def test_non_integer_reservation_counts_raise_typed_errors(entry, counts, toy_model):
+    with pytest.raises(SimulationError, match="reservations"):
+        entry(S1_DEMANDS, counts, toy_model)
+
+
 def _sold_hour(model, **kwargs):
     instance = ReservedInstance(instance_id=0, reserved_at=0, period=8)
     busy = np.array(S1_DEMANDS[:8], dtype=bool)
