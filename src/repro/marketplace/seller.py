@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._arrays import as_int
 from repro.core.clearing import (
     SCHEDULE_ADAPTIVE,
     SCHEDULE_LADDER,
@@ -148,13 +149,7 @@ class LadderDiscountSeller(SellerStrategy):
                 raise MarketplaceError(
                     f"ladder[{index}] must lie in [0, 1], got {rung!r}"
                 )
-        if isinstance(self.step_hours, bool) or not isinstance(
-            self.step_hours, int
-        ):
-            raise SimulationError(
-                f"step_hours must be an integer hour count, got {self.step_hours!r}"
-            )
-        if self.step_hours < 1:
+        if as_int(self.step_hours, "step_hours", SimulationError) < 1:
             raise MarketplaceError(
                 f"step_hours must be >= 1, got {self.step_hours!r}"
             )

@@ -12,11 +12,6 @@ from repro.purchasing.online_breakeven import (
     wang_online_purchasing,
 )
 from repro.purchasing.random_reservation import RandomReservation
-from repro.purchasing.randomized_breakeven import (
-    SKI_RENTAL_RATIO,
-    RandomizedBreakEven,
-    draw_threshold_fraction,
-)
 from repro.purchasing.runner import (
     ReservationSchedule,
     imitate,
@@ -40,9 +35,6 @@ __all__ = [
     "wang_online_purchasing",
     "aggressive_online_purchasing",
     "OnDemandOnly",
-    "RandomizedBreakEven",
-    "SKI_RENTAL_RATIO",
-    "draw_threshold_fraction",
     "ReservationSchedule",
     "imitate",
     "paper_imitators",

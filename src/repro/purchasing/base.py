@@ -11,8 +11,7 @@ many new instances are reserved each hour — processing the trace online
 The imitators jump between reservation events instead of stepping
 through every hour; each module states its rule and why it is exact.
 :func:`top_up_schedule` is the rule All-Reserved and Random-Reservation
-share. :class:`ActiveReservationTracker` is the hour-by-hour pool count
-that the randomized break-even imitator still steps.
+share. :class:`ActiveReservationTracker` is an hour-by-hour pool count.
 """
 
 from __future__ import annotations

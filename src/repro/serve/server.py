@@ -701,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "marketplace liquidity regime: SELL decisions open listings "
             "that clear stochastically instead of instantly; 'off' keeps "
-            "the paper's instant-sale semantics (default: %(default)s)"
+            "the paper's instant-sale semantics; any other regime needs "
+            "a single process, not --shards (default: %(default)s)"
         ),
     )
     parser.add_argument(
@@ -802,6 +803,16 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     if args.shards < 1:
         print(
             f"repro.serve: error: --shards must be >= 1, got {args.shards}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.shards > 1 and args.clearing != "off":
+        # A cluster's workers boot from checkpoints written without a
+        # clearing model, so the flag would be dropped, not applied.
+        print(
+            f"repro.serve: error: --clearing {args.clearing} (and "
+            "--clearing-seed) need a single process; drop --shards or "
+            "pass --clearing off",
             file=sys.stderr,
         )
         return 2

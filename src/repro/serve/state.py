@@ -14,8 +14,8 @@ Two trackers, two fidelity/throughput points:
 * :class:`FleetState` — a vectorised numpy engine over many
   *independent single-reservation* instances (the service's fleet
   model): ages, cumulative working hours, and per-φ verdicts live in
-  flat arrays, and one batched event application touches every affected
-  instance with a handful of numpy ops.
+  one table of numpy columns, and one batched event application touches
+  every affected instance with a handful of numpy ops.
 
 How the stream reproduces the batch engine
 ------------------------------------------
@@ -57,7 +57,7 @@ from repro.core.policies import (
     CancellationAwareSellingPolicy,
     RandomizedSellingPolicy,
 )
-from repro.core.policyspec import SPEC_KEEP, PolicySpec
+from repro.core.policyspec import SPEC_ALL_SELLING, SPEC_KEEP, PolicySpec
 from repro.core.popsim import cleared_income, decide_batch, decision_rule
 from repro.errors import PolicyError
 from repro.serve.errors import ServeStateError
@@ -483,7 +483,6 @@ _VERDICT_CODES = {
     _KEEP: Verdict.KEEP,
     _WAIT: Verdict.WAIT_FOR_CLEAR,
 }
-_CODES_BY_VERDICT = {verdict: code for code, verdict in _VERDICT_CODES.items()}
 
 #: Listing fates per (instance, φ) under clearing: no listing, a drawn
 #: clearing hour ahead, or a window that will close unsold.
@@ -491,14 +490,47 @@ _FATE_NONE = 0
 _FATE_CLEAR = 1
 _FATE_EXPIRE = 2
 
+#: Row kinds of a fleet column: one entry per instance, or one row per
+#: menu spot or per cancellation spec (named by the FleetState attribute
+#: whose length gives the row count).
+_PER_INSTANCE = None
+_PER_SPOT = "thresholds"
+_PER_CANCELLATION = "_cancellations"
+
+#: FleetState's per-instance state, declared once as ``(attribute, rows,
+#: dtype, fill)``. A per-spot or per-policy column is one ``rows ×
+#: capacity`` array whose row ``[k]`` is a view on one φ's (or one
+#: cancellation spec's) state.
+_COLUMNS: "Tuple[Tuple[str, Optional[str], type, int], ...]" = (
+    ("_age", _PER_INSTANCE, np.int64, 0),
+    ("_working", _PER_INSTANCE, np.int64, 0),
+    ("_working_in_term", _PER_INSTANCE, np.int64, 0),
+    # The menu index a randomized policy's per-key stream drew at
+    # registration (-1 = no randomized policy).
+    ("_drawn", _PER_INSTANCE, np.int64, -1),
+    ("_verdicts", _PER_SPOT, np.int8, _PENDING),
+    # Working hours at the decision age (-1 = not decided yet).
+    ("_working_at", _PER_SPOT, np.int64, -1),
+    # Listing state: the age at which an open listing resolves (-1 = no
+    # listing pending) and its drawn fate.
+    ("_clear_at", _PER_SPOT, np.int64, -1),
+    ("_fate", _PER_SPOT, np.int8, _FATE_NONE),
+    # Re-buy state: the age at which the re-buy was booked (-1 = none
+    # yet) and the in-term busy hours seen since the SELL verdict settled.
+    ("_rebuy_age", _PER_CANCELLATION, np.int64, -1),
+    ("_busy_after_sale", _PER_CANCELLATION, np.int64, 0),
+)
+
 
 @dataclass(frozen=True)
 class PhiThreshold:
-    """One decision spot's precomputed parameters."""
+    """One decision spot's precomputed parameters: working time below
+    ``threshold`` (the engine's :func:`~repro.core.popsim.decision_rule`
+    threshold, scale · β) at ``decision_age`` means SELL."""
 
     phi: float
     decision_age: int
-    beta: float
+    threshold: float
 
 
 @dataclass(frozen=True)
@@ -539,9 +571,11 @@ class FleetState:
     :class:`StreamTracker` rule for a lone reservation (equivalence is
     pinned in ``tests/serve/test_fleet.py``).
 
-    State lives in flat numpy arrays (age, cumulative working hours, one
-    verdict/working-at pair per φ), so applying a batch of events costs
-    a few array ops regardless of fleet size.
+    State lives in one table of numpy columns (:data:`_COLUMNS`: age,
+    cumulative working hours, and per φ a verdict, the working time at
+    the decision and the listing state), so applying a batch of events
+    costs a few array ops regardless of fleet size. Every decision-hour
+    hit settles through :meth:`_decide`.
     """
 
     def __init__(
@@ -576,10 +610,10 @@ class FleetState:
                 spec = given if isinstance(given, PolicySpec) else PolicySpec(given)
             except PolicyError as error:
                 raise ServeStateError(str(error)) from error
-            if spec.kind == SPEC_KEEP:
+            if spec.kind in (SPEC_KEEP, SPEC_ALL_SELLING):
                 raise ServeStateError(
-                    "a keep policy never sells — the advisory fleet has "
-                    "nothing to track for it; drop the spec"
+                    f"the {spec.kind} policy ignores working time — the "
+                    "advisory fleet advises only the online rule; drop the spec"
                 )
             policy = spec.build()
             policy_scale = getattr(policy, "threshold_scale", threshold_scale)
@@ -617,7 +651,7 @@ class FleetState:
                     f"phi={phi!r} with period {period}h yields a degenerate "
                     f"decision age of {rule.decision_age}h"
                 )
-            thresholds.append(PhiThreshold(phi, rule.decision_age, rule.beta))
+            thresholds.append(PhiThreshold(phi, rule.decision_age, rule.threshold))
         self.model = model
         self.threshold_scale = threshold_scale
         self.thresholds: Tuple[PhiThreshold, ...] = tuple(thresholds)
@@ -642,32 +676,9 @@ class FleetState:
                 )
                 for threshold in self.thresholds
             ]
-        capacity = max(int(capacity), 1)
-        self._age = np.zeros(capacity, dtype=np.int64)
-        self._working = np.zeros(capacity, dtype=np.int64)
-        self._working_in_term = np.zeros(capacity, dtype=np.int64)
-        self._verdicts = [np.zeros(capacity, dtype=np.int8) for _ in thresholds]
-        self._working_at = [
-            np.full(capacity, -1, dtype=np.int64) for _ in thresholds
-        ]
-        # Per-φ listing state: the age at which an open listing resolves
-        # (-1 = no listing pending) and its drawn fate.
-        self._clear_at = [
-            np.full(capacity, -1, dtype=np.int64) for _ in thresholds
-        ]
-        self._fate = [np.zeros(capacity, dtype=np.int8) for _ in thresholds]
-        # Randomized policy: the menu index each instance's per-key
-        # stream drew at registration (-1 = no randomized policy).
-        self._drawn = np.full(capacity, -1, dtype=np.int64)
-        # Cancellation policies: per-policy rebuy state — the age at
-        # which the re-buy was booked (-1 = none yet) and the count of
-        # in-term busy hours observed since the SELL verdict settled.
-        self._rebuy_age = [
-            np.full(capacity, -1, dtype=np.int64) for _ in self._cancellations
-        ]
-        self._busy_after_sale = [
-            np.zeros(capacity, dtype=np.int64) for _ in self._cancellations
-        ]
+        # Every per-instance array (``_age``, ``_verdicts``, ...) is a
+        # column of :data:`_COLUMNS`.
+        self._allocate(max(int(capacity), 1))
         self._ids: List[str] = []
         self._index: Dict[str, int] = {}
 
@@ -689,47 +700,23 @@ class FleetState:
     def __contains__(self, instance_id: str) -> bool:
         return instance_id in self._index
 
+    def _allocate(self, capacity: int) -> None:
+        """Set every column of :data:`_COLUMNS` to a fresh array of
+        ``capacity`` instance slots, filled with the column's fill."""
+        for name, rows, dtype, fill in _COLUMNS:
+            shape = (capacity,) if rows is None else (len(getattr(self, rows)), capacity)
+            setattr(self, name, np.full(shape, fill, dtype=dtype))
+
     def _grow(self, minimum: int) -> None:
-        capacity = len(self._age)
+        capacity = size = self._age.size
         while capacity < minimum:
             capacity *= 2
-        if capacity == len(self._age):
+        if capacity == size:
             return
-        extra = capacity - len(self._age)
-        self._age = np.concatenate([self._age, np.zeros(extra, dtype=np.int64)])
-        self._working = np.concatenate(
-            [self._working, np.zeros(extra, dtype=np.int64)]
-        )
-        self._working_in_term = np.concatenate(
-            [self._working_in_term, np.zeros(extra, dtype=np.int64)]
-        )
-        self._verdicts = [
-            np.concatenate([v, np.zeros(extra, dtype=np.int8)])
-            for v in self._verdicts
-        ]
-        self._working_at = [
-            np.concatenate([w, np.full(extra, -1, dtype=np.int64)])
-            for w in self._working_at
-        ]
-        self._clear_at = [
-            np.concatenate([c, np.full(extra, -1, dtype=np.int64)])
-            for c in self._clear_at
-        ]
-        self._fate = [
-            np.concatenate([f, np.zeros(extra, dtype=np.int8)])
-            for f in self._fate
-        ]
-        self._drawn = np.concatenate(
-            [self._drawn, np.full(extra, -1, dtype=np.int64)]
-        )
-        self._rebuy_age = [
-            np.concatenate([r, np.full(extra, -1, dtype=np.int64)])
-            for r in self._rebuy_age
-        ]
-        self._busy_after_sale = [
-            np.concatenate([b, np.zeros(extra, dtype=np.int64)])
-            for b in self._busy_after_sale
-        ]
+        columns = [getattr(self, name) for name, *_ in _COLUMNS]
+        self._allocate(capacity)
+        for (name, *_), column in zip(_COLUMNS, columns):
+            getattr(self, name)[..., :size] = column
 
     def register(self, instance_id: str) -> int:
         """Start tracking ``instance_id`` at age 0 (idempotent).
@@ -824,33 +811,7 @@ class FleetState:
             for k, threshold in enumerate(self.thresholds):
                 hit = ages == threshold.decision_age
                 if hit.any():
-                    hit_idx = idx[hit]
-                    working = self._working[hit_idx]
-                    self._working_at[k][hit_idx] = working
-                    sell = working < self.threshold_scale * threshold.beta
-                    if self._clear_profiles is None:
-                        self._verdicts[k][hit_idx] = np.where(sell, _SELL, _KEEP)
-                        for position, instance_index in enumerate(hit_idx):
-                            settled.append(
-                                FleetDecision(
-                                    instance=self._ids[int(instance_index)],
-                                    phi=threshold.phi,
-                                    verdict=(
-                                        Verdict.SELL
-                                        if sell[position]
-                                        else Verdict.KEEP
-                                    ),
-                                    working_hours=int(working[position]),
-                                    age=threshold.decision_age,
-                                    **self._provenance(int(instance_index), k),
-                                )
-                            )
-                    else:
-                        settled.extend(
-                            self._decide_with_listings(
-                                k, threshold, hit_idx, working, sell
-                            )
-                        )
+                    settled.extend(self._decide(k, threshold, idx[hit]))
                 if self._clear_profiles is not None:
                     settled.extend(self._settle_listings(k, threshold, idx, ages))
         return settled
@@ -870,77 +831,51 @@ class FleetState:
                 return {"policy_spec": spec.canonical()}
         return {}
 
-    def _decide_with_listings(
-        self,
-        k: int,
-        threshold: PhiThreshold,
-        hit_idx: np.ndarray,
-        working: np.ndarray,
-        sell: np.ndarray,
+    def _decide(
+        self, k: int, threshold: PhiThreshold, hit_idx: np.ndarray
     ) -> List[FleetDecision]:
-        """Decision-hour verdicts under a clearing model.
+        """Settle the instances ``hit_idx`` reaching menu spot ``k``'s
+        decision age.
 
-        KEEP stays KEEP; a SELL-rule hit draws its clearing delay from a
-        per-(instance, φ) stream — deterministic, so a restored
-        checkpoint and the original process agree — and either clears on
-        the spot (delay 0 → SELL, ``listing="cleared"``) or opens a
-        listing (``WAIT_FOR_CLEAR``, resolution age and fate recorded
-        for :meth:`_settle_listings`).
+        SELL iff the working time so far is below the engine's
+        threshold, else KEEP. Under a clearing model a SELL draws its
+        clearing delay from a per-(instance, φ) stream — deterministic,
+        so a restored checkpoint and the original process agree — and
+        either clears on the spot (delay 0 → SELL, ``listing="cleared"``)
+        or opens a listing (``WAIT_FOR_CLEAR``, ``listing="opened"``)
+        that :meth:`_settle_listings` resolves at ``decision_age +
+        delay``: cleared if the delay is inside the window, else expired.
         """
-        profile = self._clear_profiles[k]
+        working = self._working[hit_idx]
+        self._working_at[k][hit_idx] = working
+        sell = working < threshold.threshold
+        self._verdicts[k][hit_idx] = np.where(sell, _SELL, _KEEP)
+        profile = None if self._clear_profiles is None else self._clear_profiles[k]
         emitted: List[FleetDecision] = []
-        for position, instance_index in enumerate(hit_idx):
-            index = int(instance_index)
+        for index, hours, selling in zip(hit_idx.tolist(), working.tolist(), sell.tolist()):
             instance_id = self._ids[index]
-            hours = int(working[position])
-            provenance = self._provenance(index, k)
-            if not sell[position]:
-                self._verdicts[k][index] = _KEEP
-                emitted.append(
-                    FleetDecision(
-                        instance=instance_id,
-                        phi=threshold.phi,
-                        verdict=Verdict.KEEP,
-                        working_hours=hours,
-                        age=threshold.decision_age,
-                        **provenance,
+            verdict = Verdict.SELL if selling else Verdict.KEEP
+            listing = None
+            if selling and profile is not None:
+                stream = self.clearing.stream(f"{instance_id}#{threshold.phi!r}")
+                delay = profile.sample_delay(float(stream.random()))
+                listing = "cleared"
+                if delay:
+                    verdict, listing = Verdict.WAIT_FOR_CLEAR, "opened"
+                    self._verdicts[k][index] = _WAIT
+                    self._clear_at[k][index] = threshold.decision_age + delay
+                    self._fate[k][index] = (
+                        _FATE_CLEAR if delay < profile.window else _FATE_EXPIRE
                     )
-                )
-                continue
-            stream = self.clearing.stream(f"{instance_id}#{threshold.phi!r}")
-            delay = profile.sample_delay(float(stream.random()))
-            if delay == 0:
-                self._verdicts[k][index] = _SELL
-                emitted.append(
-                    FleetDecision(
-                        instance=instance_id,
-                        phi=threshold.phi,
-                        verdict=Verdict.SELL,
-                        working_hours=hours,
-                        age=threshold.decision_age,
-                        listing="cleared",
-                        waited_hours=0,
-                        **provenance,
-                    )
-                )
-                continue
-            self._verdicts[k][index] = _WAIT
-            if delay < profile.window:
-                self._clear_at[k][index] = threshold.decision_age + delay
-                self._fate[k][index] = _FATE_CLEAR
-            else:
-                self._clear_at[k][index] = threshold.decision_age + profile.window
-                self._fate[k][index] = _FATE_EXPIRE
             emitted.append(
                 FleetDecision(
                     instance=instance_id,
                     phi=threshold.phi,
-                    verdict=Verdict.WAIT_FOR_CLEAR,
+                    verdict=verdict,
                     working_hours=hours,
                     age=threshold.decision_age,
-                    listing="opened",
-                    waited_hours=0,
-                    **provenance,
+                    listing=listing,
+                    **self._provenance(index, k),
                 )
             )
         return emitted
@@ -956,34 +891,22 @@ class FleetState:
         resolution hour: cleared-fate listings settle to SELL
         (``listing="cleared"``), expired windows revert to KEEP
         (``listing="expired"``)."""
-        waiting = self._verdicts[k][idx] == _WAIT
-        if not waiting.any():
-            return []
-        due = waiting & (ages == self._clear_at[k][idx])
-        if not due.any():
-            return []
+        due = (self._verdicts[k][idx] == _WAIT) & (ages == self._clear_at[k][idx])
         emitted: List[FleetDecision] = []
-        for instance_index in idx[due]:
-            index = int(instance_index)
-            age = int(self._age[index])
-            waited = age - threshold.decision_age
-            if int(self._fate[k][index]) == _FATE_CLEAR:
-                self._verdicts[k][index] = _SELL
-                verdict, listing = Verdict.SELL, "cleared"
-            else:
-                self._verdicts[k][index] = _KEEP
-                verdict, listing = Verdict.KEEP, "expired"
+        for index, age in zip(idx[due].tolist(), ages[due].tolist()):
+            cleared = self._fate[k][index] == _FATE_CLEAR
+            self._verdicts[k][index] = _SELL if cleared else _KEEP
             self._clear_at[k][index] = -1
             self._fate[k][index] = _FATE_NONE
             emitted.append(
                 FleetDecision(
                     instance=self._ids[index],
                     phi=threshold.phi,
-                    verdict=verdict,
+                    verdict=Verdict.SELL if cleared else Verdict.KEEP,
                     working_hours=int(self._working_at[k][index]),
                     age=age,
-                    listing=listing,
-                    waited_hours=waited,
+                    listing="cleared" if cleared else "expired",
+                    waited_hours=age - threshold.decision_age,
                     **self._provenance(index, k),
                 )
             )

@@ -15,7 +15,7 @@ from repro.core.clearing import (
 )
 from repro.core.fastsim import FastPolicyKind, run_fast
 from repro.core.policies import ListedSellingPolicy, OnlineSellingPolicy
-from repro.errors import PolicyError, SimulationError
+from repro.errors import MarketplaceError, PolicyError, SimulationError
 from repro.marketplace.ecosystem import DealHunter, endogenous_buy_requests
 from repro.marketplace.listing import Listing
 from repro.marketplace.market import (
@@ -68,6 +68,13 @@ class TestLadderSeller:
             LadderDiscountSeller(step_hours=24.5)
         with pytest.raises(SimulationError):
             LadderDiscountSeller(ladder=(1.0, float("nan")))
+        with pytest.raises(MarketplaceError):
+            LadderDiscountSeller(step_hours=np.int64(0))
+        numpy_step = LadderDiscountSeller(step_hours=np.int64(24))
+        assert numpy_step == LadderDiscountSeller(step_hours=24)
+        assert numpy_step.as_discount_schedule() == DiscountSchedule(
+            kind=SCHEDULE_LADDER, ladder=numpy_step.ladder, step_hours=24
+        )
 
 
 class TestPromotionToPolicies:

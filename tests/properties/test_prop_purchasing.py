@@ -11,7 +11,6 @@ from repro.purchasing.online_breakeven import (
     wang_online_purchasing,
 )
 from repro.purchasing.random_reservation import RandomReservation
-from repro.purchasing.randomized_breakeven import RandomizedBreakEven
 from repro.workload.base import DemandTrace
 
 HORIZON = 64
@@ -69,13 +68,3 @@ def test_breakeven_never_reserves_more_than_all_reserved(demands):
     assert aggressive.sum() >= wang.sum()
 
 
-@given(demands=demand_lists, seed=st.integers(min_value=0, max_value=20))
-@settings(max_examples=60, deadline=None)
-def test_randomized_breakeven_between_the_deterministic_extremes(demands, seed):
-    trace = DemandTrace(demands)
-    randomized = RandomizedBreakEven(seed=seed).schedule(trace, PLAN)
-    eager = AllReserved().schedule(trace, PLAN)
-    # z <= 1 means at most the demand peak is ever reserved; coverage of
-    # the schedule by All-Reserved's pool bounds the total.
-    assert randomized.sum() <= eager.sum() + trace.peak
-    assert np.all(randomized >= 0)

@@ -20,8 +20,9 @@ from repro.core.fastsim import run_fast
 from repro.core.policies import RandomizedSellingPolicy
 from repro.core.popsim import run_population_randomized
 from repro.pricing.plan import PricingPlan
-from repro.serve.errors import ServeStateError
-from repro.serve.server import AdvisoryServer, build_app
+from repro.serve.checkpoint import checkpoint_from_payload, fleet_to_payload
+from repro.serve.errors import CheckpointError, ServeStateError
+from repro.serve.server import AdvisoryServer, build_app, main
 from repro.serve.state import FleetState, rebuy_outlay_from_counts
 
 PERIOD = 16
@@ -92,6 +93,23 @@ class TestFleetDraws:
     def test_keep_specs_are_rejected(self):
         with pytest.raises(ServeStateError, match="keep"):
             FleetState(small_model(), policies=("keep",))
+
+    def test_all_selling_specs_are_rejected(self):
+        with pytest.raises(ServeStateError, match="all-selling"):
+            FleetState(small_model(), policies=("all-selling:phi=0.5",))
+
+    def test_all_selling_specs_are_refused_on_the_command_line(self, monkeypatch):
+        def serve(*args, **kwargs):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr("repro.serve.server.AdvisoryServer", serve)
+        assert main(["--port", "0", "--policies", "all-selling:phi=0.5"]) == 2
+
+    def test_checkpoints_carrying_all_selling_specs_are_refused(self):
+        payload = fleet_to_payload(FleetState(small_model()))
+        payload["policies"] = ["all-selling:phi=0.5"]
+        with pytest.raises(CheckpointError, match="all-selling"):
+            checkpoint_from_payload(payload)
 
     def test_second_randomized_spec_is_rejected(self):
         with pytest.raises(ServeStateError, match="at most one"):

@@ -15,6 +15,7 @@ import pytest
 from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
 from repro.serve.errors import ServeStateError, ShardUnavailableError
+from repro.serve.server import main
 from repro.serve.shard import (
     HashRing,
     RouterServer,
@@ -213,6 +214,17 @@ def test_refused_cluster_arguments_start_no_worker(tmp_path, monkeypatch):
     assert started == []
     start_cluster(small_model(), 2, tmp_path / "booted").close()
     assert started == [0, 1]
+
+
+def test_cluster_refuses_clearing_before_any_worker(monkeypatch, capsys):
+    """Cluster workers boot without a clearing model, so ``main`` refuses
+    ``--clearing`` with ``--shards`` instead of dropping it."""
+    def boot(args):
+        raise AssertionError("the cluster booted")
+
+    monkeypatch.setattr("repro.serve.shard.run_cluster", boot)
+    assert main(["--shards", "2", "--clearing", "thin"]) == 2
+    assert "--clearing" in capsys.readouterr().err
 
 
 def test_failed_boot_stops_every_started_worker(tmp_path, monkeypatch):
